@@ -359,9 +359,12 @@ pub(crate) struct Generation {
     docs_rewritten: u64,
     /// Display name → manifest checksum. Equal sums across a reload
     /// prove the file bytes are identical, which is what licenses cache
-    /// carry-over. Empty for an unversioned corpus: nothing vouches for
-    /// byte identity there, so nothing is carried.
+    /// carry-over and document reuse. Empty for an unversioned corpus:
+    /// nothing vouches for byte identity there, so nothing is carried.
     doc_sums: HashMap<String, u64>,
+    /// Document display name → manifest checksum of its `.xidx`
+    /// segment, for documents that have one.
+    seg_sums: HashMap<String, u64>,
     /// Rollback messages from [`manifest::load_generation`]: newer
     /// generations that existed on disk but failed verification.
     rollbacks: Vec<String>,
@@ -484,7 +487,7 @@ fn hedge_delay(rep: &Replica, floor: Duration) -> Duration {
 pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
     let fault = args.injector()?;
     let shards_n = args.shards.max(1);
-    let generation = load_corpus(&args.dir, fault.as_ref(), shards_n)?;
+    let generation = load_corpus(&args.dir, fault.as_ref(), shards_n, None)?;
     for r in &generation.rollbacks {
         eprintln!("warning: {r}");
     }
@@ -689,16 +692,25 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
 /// loader — are quarantined instead of refusing to start. Only a
 /// directory where manifests exist but *none* verifies is a hard error:
 /// anything served from it would be a partial generation.
+///
+/// On a reload, `prev` is the serving generation. After the new
+/// manifest has verified, a document `prev` served whose data-file
+/// checksum is equal in both manifests, and whose `.xidx` checksum is
+/// equal or absent on both sides, is shared from `prev` instead of
+/// being re-read: equal bytes decode to the same tree, labels and
+/// segment, so a reload costs what its delta costs.
 fn load_corpus(
     dir: &str,
     fault: Option<&Arc<FaultInjector>>,
     shards: usize,
+    prev: Option<&Generation>,
 ) -> Result<Generation, CliError> {
     let dirp = Path::new(dir);
     let mut parent_chain: Vec<u64> = Vec::new();
     let mut docs_carried = 0u64;
     let mut docs_rewritten = 0u64;
     let mut doc_sums: HashMap<String, u64> = HashMap::new();
+    let mut seg_sums: HashMap<String, u64> = HashMap::new();
     type LoadFile = (std::path::PathBuf, String, Option<std::path::PathBuf>);
     let (files, number, rollbacks): (Vec<LoadFile>, u64, Vec<String>) =
         match manifest::load_generation(dirp).map_err(|e| CliError::Io(dir.to_string(), e))? {
@@ -754,6 +766,7 @@ fn load_corpus(
                         .unwrap_or_else(|| (e.name.clone(), m.generation));
                     if let Some(stem) = display.strip_suffix(".xidx") {
                         seg_paths.insert(stem.to_string(), dirp.join(&e.name));
+                        seg_sums.insert(format!("{stem}.xfrg"), e.checksum);
                         continue;
                     }
                     if file_gen == m.generation {
@@ -783,9 +796,25 @@ fn load_corpus(
                 )));
             }
         };
+    let prev_ids: HashMap<&str, DocId> = prev
+        .map(|p| p.coll.ids().map(|id| (p.coll.name(id), id)).collect())
+        .unwrap_or_default();
     let mut coll = Collection::new();
     let mut quarantined = Vec::new();
     for (path, name, seg_path) in files {
+        let reuse = prev.and_then(|p| {
+            let id = *prev_ids.get(name.as_str())?;
+            let same_doc = matches!(
+                (p.doc_sums.get(&name), doc_sums.get(&name)),
+                (Some(a), Some(b)) if a == b
+            );
+            let same_seg = p.seg_sums.get(&name) == seg_sums.get(&name);
+            (same_doc && same_seg).then(|| p.coll.share(id))
+        });
+        if let Some(shared) = reuse {
+            coll.add_shared(&name, shared);
+            continue;
+        }
         let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Document, CliError> {
             if let Some(inj) = fault {
                 inj.fire(site::SERVE_LOAD).map_err(|_| {
@@ -836,6 +865,7 @@ fn load_corpus(
         docs_carried,
         docs_rewritten,
         doc_sums,
+        seg_sums,
         rollbacks,
         tag: GenerationTag::fresh(),
     })
@@ -857,7 +887,7 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
         );
         Err(why)
     };
-    let next = match load_corpus(&s.dir, s.fault.as_ref(), s.groups.len()) {
+    let next = match load_corpus(&s.dir, s.fault.as_ref(), s.groups.len(), Some(&current)) {
         Ok(g) => g,
         Err(e) => return fail(e.to_string()),
     };

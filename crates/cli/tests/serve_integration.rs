@@ -1126,3 +1126,147 @@ fn planner_auto_default_under_sharded_soak() {
     assert!(st.success(), "server exited {st:?}");
     assert!(sum.contains("0 in flight"), "{sum}");
 }
+
+/// Queries whose answers span every corpus document, for comparing two
+/// servers answer for answer.
+const PROBES: [&str; 5] = [
+    r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#,
+    r#"{"kind":"query","id":2,"keywords":["xml"],"top_k":2}"#,
+    r#"{"kind":"query","id":3,"keywords":["search"],"size":6}"#,
+    r#"{"kind":"query","id":4,"keywords":["gamma"]}"#,
+    r#"{"kind":"query","id":5,"keywords":["alpha","xml"]}"#,
+];
+
+/// A reload shares the documents a delta left untouched with the
+/// previous generation instead of re-reading them. Through a chain of
+/// one-document deltas on a sharded, replicated server, every answer
+/// must still match a server freshly booted on the same generation.
+#[test]
+fn delta_reloads_sharing_unchanged_documents_match_a_fresh_boot() {
+    let src = corpus("share-src");
+    let out = gen_corpus("share");
+    run_index(&src, &out);
+    let flags = ["--shards", "2", "--replicas", "2"];
+    let srv = Server::start(&out, &flags);
+    let mut conn = srv.connect();
+    for q in PROBES {
+        assert_eq!(field_str(&conn.rpc(q), "status"), "ok");
+    }
+
+    let a0 = std::fs::read_to_string(src.join("a.xml")).unwrap();
+    let edits = [
+        (
+            "a.xml",
+            "<doc><title>xml search alpha two</title><p>xml gamma</p></doc>",
+        ),
+        (
+            "c.xml",
+            "<doc><p>gamma search</p><p>xml alpha gamma</p></doc>",
+        ),
+        ("b.xml", "<doc><sec><p>xml search beta</p></sec></doc>"),
+        ("a.xml", &a0),
+    ];
+    for (step, (file, xml)) in edits.iter().enumerate() {
+        let generation = step + 2;
+        std::fs::write(src.join(file), xml).unwrap();
+        let msg = run_delta(&src, &out);
+        assert!(msg.contains("2 carried, 1 rewritten"), "{msg}");
+        let reload = conn.rpc(r#"{"kind":"reload","id":50}"#);
+        assert_eq!(field_str(&reload, "status"), "ok", "{reload}");
+        assert!(
+            reload.contains(&format!("serving generation {generation}")),
+            "{reload}"
+        );
+        // The shared segments keep the postings earlier queries
+        // materialized; a full reload would start from zero.
+        let stats = conn.rpc(r#"{"kind":"stats","id":51}"#);
+        assert!(
+            field_u64(&stats, "terms_loaded") > 0,
+            "nothing shared: {stats}"
+        );
+
+        let fresh = Server::start(&out, &flags);
+        let mut fconn = fresh.connect();
+        for q in PROBES {
+            let got = conn.rpc(q);
+            let want = fconn.rpc(q);
+            assert_eq!(field_str(&got, "status"), "ok", "{got}");
+            assert_eq!(
+                answers_of(&got),
+                answers_of(&want),
+                "generation {generation}: {q}"
+            );
+        }
+        drop(fconn);
+        let (st, _) = fresh.shutdown_and_wait();
+        assert!(st.success());
+    }
+
+    drop(conn);
+    let (st, sum) = srv.shutdown_and_wait();
+    assert!(st.success(), "server exited {st:?}");
+    assert!(sum.contains("0 in flight"), "{sum}");
+}
+
+/// Reuse never skips verification: a flipped byte in the file of a
+/// document the next generation would share still fails the reload, and
+/// the server keeps answering from the generation it was serving.
+#[test]
+fn reload_verifies_the_files_of_shared_documents() {
+    let src = corpus("share-verify-src");
+    let out = gen_corpus("share-verify");
+    run_index(&src, &out);
+    let srv = Server::start(&out, &[]);
+    let q = r#"{"kind":"query","id":1,"keywords":["xml","search"]}"#;
+    let before = srv.rpc(q);
+    assert_eq!(field_str(&before, "status"), "ok", "{before}");
+
+    // A one-document delta of a.xml carries b.xml's file over; then a
+    // byte of that carried file flips. (`index --delta` verifies its
+    // parent generation, so the flip has to come after the commit.)
+    std::fs::write(
+        src.join("a.xml"),
+        "<doc><title>xml search alpha two</title><p>ranked xml search regenerated</p></doc>",
+    )
+    .unwrap();
+    let msg = run_delta(&src, &out);
+    assert!(msg.contains("2 carried, 1 rewritten"), "{msg}");
+    let victim = out.join("b.g000001.xfrg");
+    let bytes = std::fs::read(&victim).unwrap();
+    let mut flipped = bytes.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0xff;
+    std::fs::write(&victim, &flipped).unwrap();
+
+    let reload = srv.rpc(r#"{"kind":"reload","id":2}"#);
+    assert_eq!(field_str(&reload, "status"), "error", "{reload}");
+    assert!(reload.contains("reload failed"), "{reload}");
+    assert!(reload.contains("b.g000001.xfrg"), "{reload}");
+    let stats = srv.rpc(r#"{"kind":"stats","id":3}"#);
+    assert!(stats.contains("\"generation\":1"), "{stats}");
+    assert!(
+        stats.contains("\"reloads\":{\"ok\":0,\"failed\":1}"),
+        "{stats}"
+    );
+    let after = srv.rpc(q);
+    assert_eq!(field_str(&after, "status"), "ok", "{after}");
+    assert_eq!(
+        answers_of(&after),
+        answers_of(&before),
+        "old generation changed"
+    );
+    assert!(
+        !after.contains("regenerated"),
+        "new generation leaked: {after}"
+    );
+
+    // Restoring the byte lets the same reload through.
+    std::fs::write(&victim, &bytes).unwrap();
+    let reload = srv.rpc(r#"{"kind":"reload","id":4}"#);
+    assert_eq!(field_str(&reload, "status"), "ok", "{reload}");
+    assert!(reload.contains("serving generation 2"), "{reload}");
+    assert!(srv.rpc(q).contains("regenerated"));
+
+    let (st, _) = srv.shutdown_and_wait();
+    assert!(st.success());
+}

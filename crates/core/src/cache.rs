@@ -53,6 +53,14 @@
 //! stale stamps. Entries larger than a whole shard budget are not
 //! admitted at all (a single whale would otherwise evict everything and
 //! then itself).
+//!
+//! Stale pairs would otherwise pile up until eviction reaches them — one
+//! key clone per hit and per carried entry, forever on a cache that
+//! never fills. So whenever the queue outgrows `2·entries + 64` the
+//! shard drops its stale pairs in place: the queue then holds exactly
+//! one pair per live entry, still oldest first, so eviction order stays
+//! exact LRU. Each compaction removes more stale pairs than it keeps
+//! live ones, so its cost is amortized O(1) per touch.
 
 use crate::budget::{Degradation, DegradeMode, ExecPolicy, Rung};
 use crate::fixpoint::FixpointMode;
@@ -301,12 +309,13 @@ impl Shard {
             e.stamp = stamp;
         }
         self.queue.push_back((stamp, key.clone()));
+        self.bound_queue();
     }
 
     fn evict_to(&mut self, budget: u64) {
         while self.bytes > budget {
             let Some((stamp, key)) = self.queue.pop_front() else {
-                return;
+                break;
             };
             let live = self.map.get(&key).is_some_and(|e| e.stamp == stamp);
             if live {
@@ -316,8 +325,24 @@ impl Shard {
                 self.evictions += 1;
             }
         }
+        self.bound_queue();
+    }
+
+    /// Keep `queue.len() <= 2·map.len() + QUEUE_SLACK` on every path
+    /// that releases the shard lock: past the bound, drop the stale
+    /// pairs in place (order-preserving, so eviction stays exact LRU).
+    fn bound_queue(&mut self) {
+        if self.queue.len() > 2 * self.map.len() + QUEUE_SLACK {
+            let map = &self.map;
+            self.queue
+                .retain(|(stamp, key)| map.get(key).is_some_and(|e| e.stamp == *stamp));
+        }
     }
 }
+
+/// Stale stamp-queue pairs a shard tolerates beyond twice its live
+/// entries before compacting.
+const QUEUE_SLACK: usize = 64;
 
 /// Rough heap footprint of a fragment set: per-fragment node storage
 /// plus container overhead. An estimate is all the LRU needs — it only
@@ -612,8 +637,7 @@ impl QueryCache {
                     None => out.evicted += 1,
                 }
             }
-            // Stale queue stamps for the removed keys are skipped by
-            // evict_to; no queue surgery needed.
+            s.bound_queue();
         }
         // Reinsert outside the per-shard drain: a rekeyed entry may hash
         // to a different shard, and `store` handles sharding, byte
@@ -1251,6 +1275,122 @@ mod tests {
         assert!(after.bytes > 0);
         // A second carry-over of the (now empty) old tag is a no-op.
         assert_eq!(cache.carry_over(g1, g2, &map), CarryOver::default());
+    }
+
+    /// Every shard's stamp queue within `2·live + QUEUE_SLACK`.
+    fn assert_queue_bounded(cache: &QueryCache) {
+        for (i, shard) in cache.shards.iter().enumerate() {
+            let s = shard.lock().unwrap();
+            assert!(
+                s.queue.len() <= 2 * s.map.len() + QUEUE_SLACK,
+                "shard {i}: queue {} for {} live entries",
+                s.queue.len(),
+                s.map.len()
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_hits_keep_the_stamp_queue_bounded() {
+        let cache = QueryCache::with_capacity_mb(4);
+        let g = GenerationTag::fresh();
+        cache.put_postings(g, 0, "hot", &nodes([1, 2]));
+        for _ in 0..100_000 {
+            assert!(cache.get_postings(g, 0, "hot").is_some());
+        }
+        assert_queue_bounded(&cache);
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn repeated_carry_overs_keep_the_stamp_queue_bounded() {
+        let cache = QueryCache::with_capacity_mb(64);
+        let mut gen = GenerationTag::fresh();
+        for doc in 0..1_000 {
+            cache.put_postings(gen, doc, "term", &nodes([doc]));
+        }
+        // Keep every document but the one a delta rewrote.
+        let map: HashMap<u32, u32> = (1..1_000).map(|d| (d, d)).collect();
+        for round in 0..50 {
+            let next = GenerationTag::fresh();
+            let co = cache.carry_over(gen, next, &map);
+            assert_eq!(co.kept + co.evicted, 1_000, "round {round}: {co:?}");
+            cache.put_postings(next, 0, "term", &nodes([round]));
+            assert_queue_bounded(&cache);
+            gen = next;
+        }
+        assert_eq!(cache.stats().entries, 1_000);
+        assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn eviction_order_across_compactions_matches_a_reference_lru() {
+        const BUDGET: u64 = 900 * SHARDS as u64;
+        let cache = QueryCache::new(BUDGET);
+        let per_shard = cache.per_shard_bytes;
+        let g = GenerationTag::fresh();
+        let key = |doc: u32| Key::Postings {
+            gen: g,
+            doc,
+            term: "t".to_string(),
+        };
+        let shard_ix = |k: &Key| {
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish() as usize % SHARDS
+        };
+        // Reference: per shard, (doc, bytes) oldest first.
+        let mut model: Vec<Vec<(u32, u64)>> = vec![Vec::new(); SHARDS];
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut compacted = 0;
+        for step in 0..20_000 {
+            let r = next();
+            let doc = ((r >> 16) % 40) as u32;
+            let k = key(doc);
+            let lru = &mut model[shard_ix(&k)];
+            let pos = lru.iter().position(|&(d, _)| d == doc);
+            let queue_len = || cache.shards[shard_ix(&k)].lock().unwrap().queue.len();
+            let before = queue_len();
+            // One put per 16 operations; the rest are gets.
+            if r % 16 == 15 {
+                let set = nodes(0..1 + (r >> 8) as u32 % 5);
+                let bytes = value_bytes(&k, &Value::Postings(set.clone()));
+                cache.put_postings(g, doc, "t", &set);
+                if let Some(p) = pos {
+                    lru.remove(p);
+                }
+                lru.push((doc, bytes));
+                while lru.iter().map(|e| e.1).sum::<u64>() > per_shard {
+                    lru.remove(0);
+                }
+            } else {
+                let hit = cache.get_postings(g, doc, "t").is_some();
+                assert_eq!(hit, pos.is_some(), "step {step}: doc {doc}");
+                if let Some(p) = pos {
+                    let e = lru.remove(p);
+                    lru.push(e);
+                }
+                // A get never evicts, so only a compaction shrinks it.
+                if queue_len() < before {
+                    compacted += 1;
+                }
+            }
+            let s = cache.shards[shard_ix(&k)].lock().unwrap();
+            let mut live: Vec<u32> = s.map.keys().map(Key::doc).collect();
+            let mut want: Vec<u32> = lru.iter().map(|e| e.0).collect();
+            live.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(live, want, "step {step}: live set diverged");
+        }
+        assert_queue_bounded(&cache);
+        assert!(compacted > 0, "no compaction was exercised");
+        assert!(cache.stats().evictions > 0, "no eviction was exercised");
     }
 
     #[test]

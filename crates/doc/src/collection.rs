@@ -12,12 +12,19 @@
 //! selections run off lazily-materialized postings and structural
 //! arithmetic runs off prefix labels. [`Collection::index`] hands out a
 //! uniform [`IndexHandle`] over both.
+//!
+//! A document and its index depend only on that document's bytes, so
+//! both are held behind `Arc`s: [`Collection::share`] hands a loaded
+//! document out and [`Collection::add_shared`] adopts it into another
+//! collection without re-reading, re-decoding or re-indexing it — how a
+//! hot reload reuses the documents a delta left untouched.
 
 use crate::index::{InvertedIndex, Postings, PostingsSource};
 use crate::label::StructLabels;
 use crate::segment::SegmentIndex;
 use crate::tree::Document;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifier of a document within a [`Collection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,6 +43,25 @@ enum DocIndex {
     // Boxed: the stats block makes SegmentIndex an order of magnitude
     // larger than InvertedIndex's map header.
     Seg(Box<SegmentIndex>),
+}
+
+impl DocIndex {
+    /// The distinct terms the index holds, for collection statistics.
+    fn term_names(&self) -> Box<dyn Iterator<Item = &str> + '_> {
+        match self {
+            DocIndex::Mem(m) => Box::new(m.terms().map(|(t, _)| t)),
+            DocIndex::Seg(s) => Box::new(s.term_names()),
+        }
+    }
+}
+
+/// One loaded document together with its index, shareable between
+/// collections ([`Collection::share`] / [`Collection::add_shared`]).
+/// Cloning is two reference-count bumps.
+#[derive(Debug, Clone)]
+pub struct SharedDoc {
+    doc: Arc<Document>,
+    index: Arc<DocIndex>,
 }
 
 /// A borrowed view of one document's index, uniform over the in-memory
@@ -132,8 +158,7 @@ impl PostingsSource for IndexHandle<'_> {
 #[derive(Debug, Default)]
 pub struct Collection {
     names: Vec<String>,
-    docs: Vec<Document>,
-    indexes: Vec<DocIndex>,
+    docs: Vec<SharedDoc>,
     /// term → number of documents containing it.
     doc_freq: BTreeMap<String, u32>,
 }
@@ -148,9 +173,6 @@ impl Collection {
     /// memory; returns its id.
     pub fn add(&mut self, name: impl Into<String>, doc: Document) -> DocId {
         let index = InvertedIndex::build(&doc);
-        for (term, _) in index.terms() {
-            *self.doc_freq.entry(term.to_string()).or_insert(0) += 1;
-        }
         self.push(name.into(), doc, DocIndex::Mem(index))
     }
 
@@ -163,18 +185,35 @@ impl Collection {
         doc: Document,
         segment: SegmentIndex,
     ) -> DocId {
-        for term in segment.term_names() {
-            *self.doc_freq.entry(term.to_string()).or_insert(0) += 1;
-        }
         self.push(name.into(), doc, DocIndex::Seg(Box::new(segment)))
     }
 
-    fn push(&mut self, name: String, doc: Document, index: DocIndex) -> DocId {
+    /// A shareable handle on an already-loaded document and its index.
+    #[track_caller]
+    pub fn share(&self, id: DocId) -> SharedDoc {
+        self.docs[id.0 as usize].clone()
+    }
+
+    /// Add a document another collection already loaded, without
+    /// copying it: both collections then hold the same tree and index
+    /// (lazily materialized postings included). Term statistics are
+    /// rebuilt from the shared index's term list.
+    pub fn add_shared(&mut self, name: impl Into<String>, shared: SharedDoc) -> DocId {
+        for term in shared.index.term_names() {
+            *self.doc_freq.entry(term.to_string()).or_insert(0) += 1;
+        }
         let id = DocId(self.docs.len() as u32);
-        self.names.push(name);
-        self.docs.push(doc);
-        self.indexes.push(index);
+        self.names.push(name.into());
+        self.docs.push(shared);
         id
+    }
+
+    fn push(&mut self, name: String, doc: Document, index: DocIndex) -> DocId {
+        let shared = SharedDoc {
+            doc: Arc::new(doc),
+            index: Arc::new(index),
+        };
+        self.add_shared(name, shared)
     }
 
     /// Number of documents.
@@ -195,7 +234,7 @@ impl Collection {
     /// The document behind an id.
     #[track_caller]
     pub fn doc(&self, id: DocId) -> &Document {
-        &self.docs[id.0 as usize]
+        &self.docs[id.0 as usize].doc
     }
 
     /// The per-document index behind an id. (Named for the domain object,
@@ -204,7 +243,7 @@ impl Collection {
     #[track_caller]
     #[allow(clippy::should_implement_trait)]
     pub fn index(&self, id: DocId) -> IndexHandle<'_> {
-        IndexHandle(&self.indexes[id.0 as usize])
+        IndexHandle(&self.docs[id.0 as usize].index)
     }
 
     /// The display name behind an id.
@@ -228,22 +267,22 @@ impl Collection {
 
     /// Total node count across all documents.
     pub fn total_nodes(&self) -> usize {
-        self.docs.iter().map(Document::len).sum()
+        self.docs.iter().map(|d| d.doc.len()).sum()
     }
 
     /// How many documents are segment-backed.
     pub fn segment_count(&self) -> usize {
-        self.indexes
+        self.docs
             .iter()
-            .filter(|i| matches!(i, DocIndex::Seg(_)))
+            .filter(|d| matches!(*d.index, DocIndex::Seg(_)))
             .count()
     }
 
     /// Total encoded bytes across all loaded index segments.
     pub fn index_bytes(&self) -> u64 {
-        self.indexes
+        self.docs
             .iter()
-            .map(|i| match i {
+            .map(|d| match &*d.index {
                 DocIndex::Mem(_) => 0,
                 DocIndex::Seg(s) => s.bytes_len() as u64,
             })
@@ -252,9 +291,9 @@ impl Collection {
 
     /// Total terms lazily materialized across all segments so far.
     pub fn index_terms_loaded(&self) -> u64 {
-        self.indexes
+        self.docs
             .iter()
-            .map(|i| match i {
+            .map(|d| match &*d.index {
                 DocIndex::Mem(_) => 0,
                 DocIndex::Seg(s) => s.terms_loaded(),
             })
@@ -359,5 +398,76 @@ mod tests {
             seg.candidate_docs(&terms).collect::<Vec<_>>(),
             mem.candidate_docs(&terms).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn shared_documents_match_fresh_copies() {
+        let xml = [
+            "<a><p>alpha beta</p></a>",
+            "<b><p>alpha</p><p>gamma</p></b>",
+            "<c><p>delta alpha</p></c>",
+            "<d><q>beta gamma</q></d>",
+        ];
+        // Odd positions segment-backed, even ones in memory.
+        let add = |c: &mut Collection, i: usize| {
+            let d = parse_str(xml[i]).unwrap();
+            let name = format!("{i}.xml");
+            if i % 2 == 1 {
+                let s = SegmentIndex::from_bytes(&encode_segment(&d)).unwrap();
+                c.add_with_segment(name, d, s)
+            } else {
+                c.add(name, d)
+            }
+        };
+        let mut old = Collection::new();
+        for i in 0..xml.len() {
+            add(&mut old, i);
+        }
+        // The next collection drops document 0, shares 1..=3 in a new
+        // order, and matches one built from fresh copies in that order.
+        let order = [3, 1, 2];
+        let mut shared = Collection::new();
+        let mut fresh = Collection::new();
+        for &i in &order {
+            let id = shared.add_shared(format!("{i}.xml"), old.share(DocId(i as u32)));
+            add(&mut fresh, i);
+            let (a, b) = (old.share(DocId(i as u32)), shared.share(id));
+            assert!(Arc::ptr_eq(&a.doc, &b.doc), "doc {i} copied");
+            assert!(Arc::ptr_eq(&a.index, &b.index), "index {i} copied");
+            assert_eq!(shared.name(id), format!("{i}.xml"));
+        }
+        assert_eq!(shared.len(), fresh.len());
+        assert_eq!(shared.segment_count(), fresh.segment_count());
+        assert_eq!(shared.segment_count(), 2);
+        assert_eq!(shared.index_bytes(), fresh.index_bytes());
+        assert_eq!(shared.total_nodes(), fresh.total_nodes());
+        let terms = ["alpha", "beta", "gamma", "delta", "p", "q", "a", "absent"];
+        for term in terms {
+            assert_eq!(
+                shared.doc_freq(term),
+                fresh.doc_freq(term),
+                "doc_freq {term}"
+            );
+            for id in fresh.ids() {
+                assert_eq!(
+                    &*shared.index(id).postings(term),
+                    &*fresh.index(id).postings(term),
+                    "postings {term} {id}"
+                );
+            }
+        }
+        assert_eq!(shared.doc_freq("a"), 0, "dropped document still counted");
+        for q in [&["alpha"][..], &["beta", "gamma"], &["alpha", "zzz"]] {
+            let q: Vec<String> = q.iter().map(|t| t.to_string()).collect();
+            assert_eq!(
+                shared.candidate_docs(&q).collect::<Vec<_>>(),
+                fresh.candidate_docs(&q).collect::<Vec<_>>(),
+                "candidates {q:?}"
+            );
+        }
+        // Lazily loaded postings live in the shared segment, so loads
+        // through either collection show up in both.
+        assert_eq!(shared.index_terms_loaded(), old.index_terms_loaded());
+        assert!(old.index_terms_loaded() > 0);
     }
 }

@@ -42,7 +42,7 @@ pub mod text;
 pub mod tree;
 
 pub use builder::DocumentBuilder;
-pub use collection::{Collection, DocId, IndexHandle};
+pub use collection::{Collection, DocId, IndexHandle, SharedDoc};
 pub use error::{DocError, ParseError};
 pub use index::{InvertedIndex, Postings, PostingsSource};
 pub use label::StructLabels;
