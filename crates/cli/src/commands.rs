@@ -3,8 +3,9 @@
 
 use crate::args::{Command, ProfileMode, SearchArgs};
 use std::fmt::Write as _;
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use xfrag_core::collection::{
     evaluate_collection_planned_cached_traced_routed, top_k_collection, CollectionResult,
 };
@@ -196,34 +197,18 @@ fn index_corpus(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cl
     let generation =
         manifest::latest_generation_number(outp).map_err(|e| CliError::Io(out.to_string(), e))? + 1;
     let mut files = Vec::new();
-    let mut segments = 0usize;
-    for p in &paths {
-        let doc = load(&p.to_string_lossy())?;
-        let stem = p
-            .file_stem()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .into_owned();
-        let name = manifest::generation_file_name(&stem, generation);
-        let bytes = store::encode(&doc);
-        write_atomic(&outp.join(&name), &bytes, hook_ref(&hook))
-            .map_err(|e| CliError::Io(name.clone(), e))?;
-        files.push(manifest::ManifestEntry {
-            name,
-            len: bytes.len() as u64,
-            checksum: manifest::checksum(&bytes),
-        });
-        let seg_name = segment_file_name(&stem, generation);
-        let seg_bytes = encode_segment(&doc);
-        write_atomic(&outp.join(&seg_name), &seg_bytes, hook_ref(&hook))
-            .map_err(|e| CliError::Io(seg_name.clone(), e))?;
-        files.push(manifest::ManifestEntry {
-            name: seg_name,
-            len: seg_bytes.len() as u64,
-            checksum: manifest::checksum(&seg_bytes),
-        });
-        segments += 1;
-    }
+    compile_sources(
+        &paths,
+        |_, _| true,
+        |c| {
+            let name = manifest::generation_file_name(&c.stem, generation);
+            files.push(c.data.commit(outp, name, &hook)?);
+            if let Some(seg) = &c.segment {
+                files.push(seg.commit(outp, segment_file_name(&c.stem, generation), &hook)?);
+            }
+            Ok(())
+        },
+    )?;
     let m = manifest::Manifest {
         generation,
         parent: None,
@@ -239,17 +224,117 @@ fn index_corpus(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cl
     } else {
         Vec::new()
     };
+    let docs = paths.len();
     Ok(format!(
-        "committed generation {generation}: {} document(s) + {segments} index segment(s) \
+        "committed generation {generation}: {docs} document(s) + {docs} index segment(s) \
          -> {out} ({} old file(s) pruned)\n",
-        paths.len(),
         pruned.len()
     ))
 }
 
+/// The bytes of one data file, with the checksum its manifest entry
+/// records.
+struct DataFile {
+    bytes: Vec<u8>,
+    checksum: u64,
+}
+
+impl DataFile {
+    fn new(bytes: Vec<u8>) -> Self {
+        let checksum = manifest::checksum(&bytes);
+        DataFile { bytes, checksum }
+    }
+
+    /// Does `entry` record exactly these bytes?
+    fn matches(&self, entry: &manifest::ManifestEntry) -> bool {
+        entry.len == self.bytes.len() as u64 && entry.checksum == self.checksum
+    }
+
+    /// Write the bytes atomically as `dir/name` and return their
+    /// manifest entry.
+    fn commit(
+        &self,
+        dir: &Path,
+        name: String,
+        hook: &Option<InjectorWriteHook>,
+    ) -> Result<manifest::ManifestEntry, CliError> {
+        write_atomic(&dir.join(&name), &self.bytes, hook_ref(hook))
+            .map_err(|e| CliError::Io(name.clone(), e))?;
+        Ok(manifest::ManifestEntry {
+            name,
+            len: self.bytes.len() as u64,
+            checksum: self.checksum,
+        })
+    }
+}
+
+/// One source document, compiled: its encoded `.xfrg` tree and, when
+/// the commit asked for a fresh one, its `.xidx` index segment.
+struct CompiledDoc {
+    stem: String,
+    data: DataFile,
+    segment: Option<DataFile>,
+}
+
+/// Compile `paths` (sorted) on worker threads and hand each result to
+/// `commit` on the calling thread, in path order. `wants_segment(stem,
+/// data)` tells a worker whether to also build the document's segment.
+///
+/// Workers only parse, encode, checksum and build segments; every file
+/// write — and so every `store:*` fault site — and the manifest commit
+/// stay with the caller, in the same order as a sequential build. Work
+/// runs in ordered windows of `2 × workers` documents, so memory does
+/// not grow with the corpus, and the first failing document in path
+/// order decides the error after everything before it was committed.
+fn compile_sources(
+    paths: &[PathBuf],
+    wants_segment: impl Fn(&str, &DataFile) -> bool + Sync,
+    mut commit: impl FnMut(CompiledDoc) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let compile = |p: &PathBuf| -> Result<CompiledDoc, CliError> {
+        let doc = load(&p.to_string_lossy())?;
+        let stem = p
+            .file_stem()
+            .unwrap_or_default()
+            .to_string_lossy()
+            .into_owned();
+        let data = DataFile::new(store::encode(&doc));
+        let segment = wants_segment(&stem, &data).then(|| DataFile::new(encode_segment(&doc)));
+        Ok(CompiledDoc {
+            stem,
+            data,
+            segment,
+        })
+    };
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(paths.len())
+        .max(1);
+    for window in paths.chunks(2 * workers) {
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<Result<CompiledDoc, CliError>>> =
+            window.iter().map(|_| OnceLock::new()).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(window.len()) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(p) = window.get(i) else { break };
+                    let _ = slots[i].set(compile(p));
+                });
+            }
+        });
+        for slot in slots {
+            // invariant: the scope joined every worker, and together they
+            // claimed every index of the window.
+            commit(slot.into_inner().expect("every window slot is compiled")?)?;
+        }
+    }
+    Ok(())
+}
+
 /// The sorted `.xml` paths of a source directory.
-fn xml_sources(src: &str) -> Result<Vec<std::path::PathBuf>, CliError> {
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(src)
+fn xml_sources(src: &str) -> Result<Vec<PathBuf>, CliError> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(src)
         .map_err(|e| CliError::Io(src.to_string(), e))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("xml"))
@@ -298,62 +383,56 @@ fn delta_index(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cli
         .iter()
         .map(|e| (logical_name(&e.name), e))
         .collect();
+    // The parent's files this document can reuse: its `.xfrg` entry when
+    // the bytes are unchanged, and with it the parent's `.xidx` segment
+    // (byte-identical document bytes imply an identical segment) when
+    // the parent has one — a legacy parent generation may not.
+    let carried = |stem: &str, data: &DataFile| {
+        let doc = parent_by_logical
+            .get(&format!("{stem}.xfrg"))
+            .filter(|e| data.matches(e))?;
+        Some((
+            *doc,
+            parent_by_logical.get(&format!("{stem}.xidx")).copied(),
+        ))
+    };
     let generation =
         manifest::latest_generation_number(outp).map_err(|e| CliError::Io(out.to_string(), e))? + 1;
     let mut files = Vec::new();
     let mut src_logicals = std::collections::HashSet::new();
-    let (mut carried, mut rewritten) = (0usize, 0usize);
-    for p in &paths {
-        let doc = load(&p.to_string_lossy())?;
-        let stem = p
-            .file_stem()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .into_owned();
-        src_logicals.insert(format!("{stem}.xfrg"));
-        src_logicals.insert(format!("{stem}.xidx"));
-        // A fresh `.xidx` segment for this document, written only when
-        // the parent's can't be carried (doc changed, or a legacy parent
-        // generation never had one).
-        let write_segment = |files: &mut Vec<manifest::ManifestEntry>| -> Result<(), CliError> {
-            let seg_name = segment_file_name(&stem, generation);
-            let seg_bytes = encode_segment(&doc);
-            write_atomic(&outp.join(&seg_name), &seg_bytes, hook_ref(&hook))
-                .map_err(|e| CliError::Io(seg_name.clone(), e))?;
-            files.push(manifest::ManifestEntry {
-                name: seg_name,
-                len: seg_bytes.len() as u64,
-                checksum: manifest::checksum(&seg_bytes),
+    let (mut carried_docs, mut rewritten) = (0usize, 0usize);
+    compile_sources(
+        &paths,
+        |stem, data| !matches!(carried(stem, data), Some((_, Some(_)))),
+        |c| {
+            src_logicals.insert(format!("{}.xfrg", c.stem));
+            src_logicals.insert(format!("{}.xidx", c.stem));
+            let seg = match carried(&c.stem, &c.data) {
+                Some((doc, seg)) => {
+                    files.push(doc.clone());
+                    carried_docs += 1;
+                    seg
+                }
+                None => {
+                    let name = manifest::generation_file_name(&c.stem, generation);
+                    files.push(c.data.commit(outp, name, &hook)?);
+                    rewritten += 1;
+                    None
+                }
+            };
+            files.push(match seg {
+                Some(seg) => seg.clone(),
+                // invariant: `wants_segment` asked for a fresh segment
+                // exactly when the parent's cannot be carried.
+                None => c
+                    .segment
+                    .as_ref()
+                    .expect("uncarried segment was compiled")
+                    .commit(outp, segment_file_name(&c.stem, generation), &hook)?,
             });
             Ok(())
-        };
-        let bytes = store::encode(&doc);
-        match parent_by_logical.get(&format!("{stem}.xfrg")) {
-            Some(e) if e.len == bytes.len() as u64 && e.checksum == manifest::checksum(&bytes) => {
-                // Unchanged: reference the parent generation's files —
-                // the document *and* its index segment (byte-identical
-                // document bytes imply an identical segment).
-                files.push((*e).clone());
-                match parent_by_logical.get(&format!("{stem}.xidx")) {
-                    Some(seg) => files.push((*seg).clone()),
-                    None => write_segment(&mut files)?,
-                }
-                carried += 1;
-            }
-            _ => {
-                let name = manifest::generation_file_name(&stem, generation);
-                write_atomic(&outp.join(&name), &bytes, hook_ref(&hook))
-                    .map_err(|e| CliError::Io(name.clone(), e))?;
-                files.push(manifest::ManifestEntry {
-                    name,
-                    len: bytes.len() as u64,
-                    checksum: manifest::checksum(&bytes),
-                });
-                write_segment(&mut files)?;
-                rewritten += 1;
-            }
-        }
-    }
+        },
+    )?;
     // Removed *documents* only — a parent `.xidx` entry disappears with
     // its document and is not a removal of its own.
     let removed = parent
@@ -376,7 +455,7 @@ fn delta_index(src: &str, out: &str, inject: Option<&str>) -> Result<String, Cli
     let pruned = manifest::prune_generations(outp, parent.generation)
         .map_err(|e| CliError::Io(out.to_string(), e))?;
     Ok(format!(
-        "committed delta generation {generation} (parent {}): {carried} carried, \
+        "committed delta generation {generation} (parent {}): {carried_docs} carried, \
          {rewritten} rewritten, {removed} removed -> {out} ({} old file(s) pruned)\n",
         parent.generation,
         pruned.len()
@@ -423,13 +502,7 @@ fn compact_corpus(dir: &str, inject: Option<&str>) -> Result<String, CliError> {
                 manifest::generation_file_name(stem, generation)
             }
         };
-        write_atomic(&dirp.join(&name), &bytes, hook_ref(&hook))
-            .map_err(|err| CliError::Io(name.clone(), err))?;
-        files.push(manifest::ManifestEntry {
-            name,
-            len: bytes.len() as u64,
-            checksum: manifest::checksum(&bytes),
-        });
+        files.push(DataFile::new(bytes).commit(dirp, name, &hook)?);
     }
     let m = manifest::Manifest {
         generation,

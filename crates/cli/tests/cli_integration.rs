@@ -1,5 +1,6 @@
 //! End-to-end tests driving the actual `xfrag` binary.
 
+use std::path::Path;
 use std::process::Command;
 
 fn xfrag() -> Command {
@@ -263,5 +264,169 @@ fn broken_pipe_is_not_an_error() {
     drop(child.stdout.take());
     let status = child.wait().unwrap();
     assert!(status.success(), "broken pipe became exit {status:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Source files of a small seeded corpus: docgen articles with a
+/// planted term frequent enough that its RF sample is strided, plus one
+/// hand-written document mixing attributes, case and non-ASCII text.
+fn write_seeded_corpus(dir: &Path) {
+    use xfrag_corpus::docgen::{generate, DocGenConfig};
+    use xfrag_doc::serialize::{document_to_xml, WriteOptions};
+    std::fs::create_dir_all(dir).unwrap();
+    for i in 0..5u64 {
+        let cfg = DocGenConfig {
+            seed: 0x1D3A + i,
+            ..DocGenConfig::default()
+        }
+        .with_approx_nodes(300)
+        .plant("needle", 40 + 10 * i as usize);
+        let xml = document_to_xml(&generate(&cfg), WriteOptions { indent: None });
+        std::fs::write(dir.join(format!("doc{i}.xml")), xml).unwrap();
+    }
+    std::fs::write(
+        dir.join("mixed.xml"),
+        "<Catalog lang=\"EN\"><Item id=\"A-1\">XQuery İstanbul ΟΔΟΣ Straße</Item>\
+         <Item id=\"b_2\">xquery ünïcode Ünïcode 42 needle needle</Item></Catalog>",
+    )
+    .unwrap();
+}
+
+/// Every file of a directory, by name.
+fn dir_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Run `xfrag index [--delta] <src> <out>` and return its stdout.
+fn index(delta: bool, src: &Path, out: &Path) -> String {
+    let mut cmd = xfrag();
+    cmd.arg("index");
+    if delta {
+        cmd.arg("--delta");
+    }
+    let out = cmd.args([src, out]).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// `xfrag index` compiles documents on every core but must write the
+/// same bytes as the sequential build it replaced: the manifest (and so
+/// every data-file length and checksum) is pinned, repeated builds are
+/// byte-identical, and a one-document delta rewrites exactly that
+/// document's pair.
+#[test]
+fn index_build_is_byte_identical_and_deterministic() {
+    // Written by the sequential single-threaded build this one replaced.
+    const PINNED_MANIFEST: &str = "\
+xfrag-manifest v1
+generation 1
+file 37610 7ad8c3674a4ef838 doc0.g000001.xfrg
+file 54244 e4cff3eb2139c598 doc0.g000001.xidx
+file 45254 969cec3fafea1d91 doc1.g000001.xfrg
+file 62255 fe57f305740cea02 doc1.g000001.xidx
+file 38730 23bd4fcd5f4a71f7 doc2.g000001.xfrg
+file 56346 2ecbc2015ca90403 doc2.g000001.xidx
+file 43405 934829920add4f8a doc3.g000001.xfrg
+file 60452 ebe539ae461b27aa doc3.g000001.xidx
+file 34801 bdfbb7bd715771f3 doc4.g000001.xfrg
+file 51865 96adb766fecc8536 doc4.g000001.xidx
+file 191 33c04304374cf609 mixed.g000001.xfrg
+file 781 9862c418f0e725c2 mixed.g000001.xidx
+checksum 7a0c1ae008b82260
+";
+    let dir = tmpdir("index-bytes");
+    let src = dir.join("src");
+    write_seeded_corpus(&src);
+    let first = dir.join("c0");
+    index(false, &src, &first);
+    let files = dir_files(&first);
+    assert_eq!(files.len(), 13, "{:?}", files.keys());
+    assert_eq!(
+        String::from_utf8_lossy(&files["manifest-000001.xfm"]),
+        PINNED_MANIFEST
+    );
+    for rep in 1..3 {
+        let again = dir.join(format!("c{rep}"));
+        index(false, &src, &again);
+        assert!(dir_files(&again) == files, "rebuild {rep} differs");
+    }
+
+    // Change one document; the delta rewrites its pair and nothing else,
+    // and the rewritten pair equals a full build of the new source.
+    std::fs::write(
+        src.join("doc2.xml"),
+        "<article><title>rewritten needle</title></article>",
+    )
+    .unwrap();
+    let out = index(true, &src, &first);
+    assert!(out.contains("5 carried, 1 rewritten, 0 removed"), "{out}");
+    let after = dir_files(&first);
+    let new: Vec<&String> = after.keys().filter(|n| !files.contains_key(*n)).collect();
+    assert_eq!(
+        new,
+        [
+            "doc2.g000002.xfrg",
+            "doc2.g000002.xidx",
+            "manifest-000002.xfm"
+        ]
+    );
+    for (name, bytes) in &files {
+        assert!(&after[name] == bytes, "{name} changed");
+    }
+    let fresh = dir.join("fresh");
+    index(false, &src, &fresh);
+    let fresh = dir_files(&fresh);
+    for ext in ["xfrg", "xidx"] {
+        assert!(
+            after[&format!("doc2.g000002.{ext}")] == fresh[&format!("doc2.g000001.{ext}")],
+            "delta-built {ext} differs from a full build"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// With several malformed sources, `xfrag index` reports the first one
+/// in sorted order — however the parallel compile interleaved — and
+/// commits nothing.
+#[test]
+fn index_error_names_the_first_malformed_source() {
+    let dir = tmpdir("index-malformed");
+    let src = dir.join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    for (name, xml) in [
+        ("a.xml", "<r>fine</r>"),
+        ("b.xml", "<r><from_b></r>"),
+        ("c.xml", "<r>fine too</r>"),
+        ("d.xml", "<r><from_d></r>"),
+        ("e.xml", "<r>last</r>"),
+    ] {
+        std::fs::write(src.join(name), xml).unwrap();
+    }
+    let corpus = dir.join("corpus");
+    let out = xfrag()
+        .args(["index", src.to_str().unwrap(), corpus.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("<from_b>"), "{stderr}");
+    assert!(!stderr.contains("from_d"), "{stderr}");
+    assert!(
+        !dir_files(&corpus).keys().any(|n| n.ends_with(".xfm")),
+        "a manifest was committed"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,9 +10,9 @@
 //! without the index for apples-to-apples baselines.
 
 use crate::label::StructLabels;
-use crate::text::{keywords, node_contains, normalize_term};
+use crate::text::{keyword_fields, node_contains, normalize_term, raw_tokens};
 use crate::tree::{Document, NodeId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -96,18 +96,39 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Build the index for a document: O(total tokens).
+    /// Build the index for a document: O(total tokens), one pass.
+    ///
+    /// Each node's `keywords(n)` — the tokens of its tag, attribute names
+    /// and values, and direct text — are lowered into one reused buffer
+    /// and looked up by `&str`, so only a term's first occurrence
+    /// allocates its key. Nodes are visited in ascending id order, so a
+    /// posting list gets `n` at most once by skipping a token whose list
+    /// already ends with `n`; postings come out sorted and unique.
     pub fn build(doc: &Document) -> Self {
-        let mut postings: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+        let mut postings: HashMap<String, Vec<NodeId>> = HashMap::new();
+        let mut buf = String::new();
         for n in doc.node_ids() {
-            for term in keywords(doc, n) {
-                postings.entry(term).or_default().push(n);
+            for token in keyword_fields(doc, n).flat_map(raw_tokens) {
+                buf.clear();
+                if token.is_ascii() {
+                    buf.push_str(token);
+                    buf.make_ascii_lowercase();
+                } else {
+                    // Whole-token Unicode lowering: final sigma depends on
+                    // the token's context, so no per-char shortcut.
+                    buf.push_str(&token.to_lowercase());
+                }
+                match postings.get_mut(buf.as_str()) {
+                    Some(list) if list.last() == Some(&n) => {}
+                    Some(list) => list.push(n),
+                    None => {
+                        postings.insert(buf.clone(), vec![n]);
+                    }
+                }
             }
         }
-        // keywords() already deduplicates per node and node_ids() is in
-        // ascending order, so postings are sorted and unique by construction.
         InvertedIndex {
-            postings,
+            postings: postings.into_iter().collect(),
             doc_len: doc.len(),
         }
     }
@@ -165,6 +186,115 @@ impl InvertedIndex {
 mod tests {
     use super::*;
     use crate::builder::DocumentBuilder;
+    use crate::text::keywords;
+    use proptest::prelude::*;
+
+    /// Words that stress lowering: ASCII case pairs, digits, repeats,
+    /// and non-ASCII whose lower case differs from a per-char mapping
+    /// (`İ` grows a combining dot, `Σ` lowers to final `ς` only at the
+    /// end of a word, `ß` has no single-char upper case).
+    const WORDS: [&str; 18] = [
+        "Alpha",
+        "alpha",
+        "ALPHA",
+        "x42",
+        "42",
+        "dup",
+        "MiXeD9",
+        "İ",
+        "İstanbul",
+        "ß",
+        "STRASSE",
+        "ΟΔΟΣ",
+        "ΣΑΣ",
+        "οδος",
+        "Ünïcode",
+        "ünïcode",
+        "東京",
+        "a_b",
+    ];
+    /// Separators between words; the empty one glues two words into a
+    /// single mixed token (`AlphaΟΔΟΣ`).
+    const SEPS: [&str; 8] = [" ", "", ",", "-", ".", "!", "'", "  "];
+
+    /// A string of 0–5 pool words joined by pool separators.
+    fn field(picks: &[usize]) -> String {
+        let mut out = String::new();
+        for (i, &p) in picks.iter().enumerate() {
+            if i > 0 {
+                out.push_str(SEPS[p % SEPS.len()]);
+            }
+            out.push_str(WORDS[(p / SEPS.len()) % WORDS.len()]);
+        }
+        out
+    }
+
+    /// The index as `keywords(n)` defines it: a per-node token set,
+    /// pushed in node order.
+    fn reference_index(doc: &Document) -> BTreeMap<String, Vec<NodeId>> {
+        let mut postings: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+        for n in doc.node_ids() {
+            for term in keywords(doc, n) {
+                postings.entry(term).or_default().push(n);
+            }
+        }
+        postings
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass build equals the `keywords()` reference term
+        /// for term: same term set, same sorted unique postings.
+        #[test]
+        fn build_matches_the_keywords_reference(
+            nodes in prop::collection::vec(
+                (
+                    prop::collection::vec(any::<usize>(), 1..3),
+                    prop::collection::vec(
+                        (
+                            prop::collection::vec(any::<usize>(), 1..3),
+                            prop::collection::vec(any::<usize>(), 0..5),
+                        ),
+                        0..3,
+                    ),
+                    prop::collection::vec(any::<usize>(), 0..12),
+                    any::<usize>(),
+                ),
+                1..40,
+            ),
+        ) {
+            // Node `i + 1` hangs under node `parent % (i + 1)`; built
+            // recursively so ids come out in pre-order.
+            let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+            for (i, node) in nodes.iter().enumerate().skip(1) {
+                children[node.3 % i].push(i);
+            }
+            type Spec = (Vec<usize>, Vec<(Vec<usize>, Vec<usize>)>, Vec<usize>, usize);
+            fn emit(b: &mut DocumentBuilder, nodes: &[Spec], children: &[Vec<usize>], v: usize) {
+                let (tag, attrs, text, _) = &nodes[v];
+                b.begin(field(tag));
+                for (k, val) in attrs {
+                    b.attr(field(k), field(val));
+                }
+                b.text(field(text));
+                for &c in &children[v] {
+                    emit(b, nodes, children, c);
+                }
+                b.end();
+            }
+            let mut b = DocumentBuilder::new();
+            emit(&mut b, &nodes, &children, 0);
+            let d = b.finish().unwrap();
+            let built = InvertedIndex::build(&d);
+            let reference = reference_index(&d);
+            prop_assert_eq!(built.term_count(), reference.len());
+            for ((term, postings), (ref_term, ref_postings)) in built.terms().zip(&reference) {
+                prop_assert_eq!(term, ref_term.as_str());
+                prop_assert_eq!(postings, ref_postings.as_slice());
+            }
+        }
+    }
 
     fn doc() -> Document {
         let mut b = DocumentBuilder::new();

@@ -10,12 +10,13 @@
 //! `a` and `b`, and membership of a third node on that path is O(1)
 //! label arithmetic — no fragment materialization at all.
 //!
-//! The RF estimate here replicates `core`'s sampled estimator
-//! **step for step** (same stride, same candidate and pair pools, same
-//! elimination predicate), and the segment stores the raw
-//! `(eliminated, candidates)` integers rather than a rounded ratio, so
-//! a plan computed from a v2 segment is bit-identical to one computed
-//! live from in-memory postings.
+//! The RF estimate here computes the same `(eliminated, candidates)`
+//! as `core::cost::estimate_rf` (same stride, same candidate and pair
+//! pools, same elimination predicate) in O(k²) label arithmetic per
+//! term instead of O(k³) pair checks, and the segment stores those raw
+//! integers rather than a rounded ratio, so a plan computed from a v2
+//! segment is bit-identical to one computed live from in-memory
+//! postings.
 
 use crate::label::StructLabels;
 use crate::store::fnv1a;
@@ -100,18 +101,52 @@ pub fn depth_histogram(labels: &StructLabels) -> [u32; DEPTH_BUCKETS] {
     hist
 }
 
-/// Is `c` on the inclusive tree path between `a` and `b`? Equivalent to
-/// `⟨c⟩ ⊆ ⟨a⟩ ⋈ ⟨b⟩` for single-node fragments: `c` must be an
-/// ancestor-or-self of one endpoint and a descendant-or-self of their
-/// LCA.
-fn on_path(labels: &StructLabels, c: NodeId, a: NodeId, b: NodeId) -> bool {
-    (labels.is_ancestor_or_self(c, a) || labels.is_ancestor_or_self(c, b))
-        && labels.is_ancestor_or_self(labels.lca(a, b), c)
+/// Is the pooled candidate `postings[ci]` inside the join of some pair
+/// of *other* pooled postings?
+///
+/// Every posting is a single-node fragment, so `⟨c⟩ ⊆ ⟨a⟩ ⋈ ⟨b⟩` holds
+/// iff `c` lies on the tree path between `a` and `b`: `c` is an
+/// ancestor-or-self of one endpoint (say `a`, so `a` sits in `c`'s
+/// subtree) and `lca(a, b)` is an ancestor-or-self of `c` — i.e. `b`
+/// leaves `c`'s subtree or branches off at `c` into a different child
+/// than `a`. So with `D` the other pooled postings strictly below `c`,
+/// `c` is eliminated iff `D` is non-empty and either some other posting
+/// lies outside `c`'s subtree or two members of `D` sit under different
+/// children of `c`. A pooled duplicate of `c` itself eliminates it
+/// outright (`⟨c⟩ ⋈ ⟨x⟩` always contains `c`, and a pool of more than
+/// two postings always has a third to pair it with). One pass over the
+/// pool per candidate: O(k) label lookups instead of O(k²) pairs.
+fn is_eliminated(labels: &StructLabels, postings: &[NodeId], pool: &[usize], ci: usize) -> bool {
+    let c = postings[ci];
+    let dc = labels.depth(c) as usize;
+    let (mut below_child, mut outside) = (None, false);
+    for &oi in pool {
+        if oi == ci {
+            continue;
+        }
+        let o = postings[oi];
+        if o == c {
+            return true;
+        }
+        let lo = labels.label(o);
+        if lo.len() > dc && lo[dc] == c.0 {
+            // `o` is a strict descendant of `c`, so `lo[dc + 1]` exists
+            // and names the child of `c` it sits under.
+            match below_child {
+                None => below_child = Some(lo[dc + 1]),
+                Some(child) if child != lo[dc + 1] => return true,
+                Some(_) => {}
+            }
+        } else {
+            outside = true;
+        }
+    }
+    outside && below_child.is_some()
 }
 
 /// Compute the stats for one term's posting list.
 ///
-/// The RF loop mirrors the query-time estimator exactly: evenly-strided
+/// The RF sample mirrors the query-time estimator exactly: evenly-strided
 /// candidate and pair pools of up to [`RF_SAMPLE`] postings each, a
 /// candidate counts as eliminated when *any* sampled pair's join
 /// contains it, and sets of ≤ 2 postings never reduce.
@@ -132,22 +167,10 @@ pub fn compute_term_stats(labels: &StructLabels, postings: &[NodeId]) -> TermSta
         let stride = n.div_ceil(RF_SAMPLE).max(1);
         let pool: Vec<usize> = (0..n).step_by(stride).collect();
         candidates = pool.len() as u16;
-        'cand: for &ci in &pool {
-            for (ii, &i) in pool.iter().enumerate() {
-                if i == ci {
-                    continue;
-                }
-                for &j in &pool[ii + 1..] {
-                    if j == ci {
-                        continue;
-                    }
-                    if on_path(labels, postings[ci], postings[i], postings[j]) {
-                        eliminated += 1;
-                        continue 'cand;
-                    }
-                }
-            }
-        }
+        eliminated = pool
+            .iter()
+            .filter(|&&ci| is_eliminated(labels, postings, &pool, ci))
+            .count() as u16;
     }
 
     TermStats {
@@ -162,7 +185,170 @@ pub fn compute_term_stats(labels: &StructLabels, postings: &[NodeId]) -> TermSta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::DocumentBuilder;
     use crate::parse::parse_str;
+    use crate::tree::Document;
+    use proptest::prelude::*;
+
+    /// Is `c` on the inclusive tree path between `a` and `b`? Equivalent
+    /// to `⟨c⟩ ⊆ ⟨a⟩ ⋈ ⟨b⟩` for single-node fragments.
+    fn on_path(labels: &StructLabels, c: NodeId, a: NodeId, b: NodeId) -> bool {
+        (labels.is_ancestor_or_self(c, a) || labels.is_ancestor_or_self(c, b))
+            && labels.is_ancestor_or_self(labels.lca(a, b), c)
+    }
+
+    /// The O(k³) kernel `compute_term_stats` replaced: every candidate
+    /// against every pair of the pool, step for step as
+    /// `core::cost::estimate_rf` does it.
+    fn reference_term_stats(labels: &StructLabels, postings: &[NodeId]) -> TermStats {
+        let (depth_min, depth_max) = postings.iter().fold((u32::MAX, 0u32), |(lo, hi), &n| {
+            let d = labels.depth(n);
+            (lo.min(d), hi.max(d))
+        });
+        let (depth_min, depth_max) = if postings.is_empty() {
+            (0, 0)
+        } else {
+            (depth_min, depth_max)
+        };
+        let n = postings.len();
+        let (mut eliminated, mut candidates) = (0u16, 0u16);
+        if n > 2 {
+            let stride = n.div_ceil(RF_SAMPLE).max(1);
+            let pool: Vec<usize> = (0..n).step_by(stride).collect();
+            candidates = pool.len() as u16;
+            'cand: for &ci in &pool {
+                for (ii, &i) in pool.iter().enumerate() {
+                    if i == ci {
+                        continue;
+                    }
+                    for &j in &pool[ii + 1..] {
+                        if j == ci {
+                            continue;
+                        }
+                        if on_path(labels, postings[ci], postings[i], postings[j]) {
+                            eliminated += 1;
+                            continue 'cand;
+                        }
+                    }
+                }
+            }
+        }
+        TermStats {
+            rf_eliminated: eliminated,
+            rf_candidates: candidates,
+            depth_min,
+            depth_max,
+            sketch: term_sketch(postings),
+        }
+    }
+
+    /// Emit the tree `children[0]` roots, in pre-order.
+    fn from_children(children: &[Vec<usize>]) -> Document {
+        fn emit(b: &mut DocumentBuilder, children: &[Vec<usize>], v: usize) {
+            b.begin(format!("e{v}"));
+            for &c in &children[v] {
+                emit(b, children, c);
+            }
+            b.end();
+        }
+        let mut b = DocumentBuilder::new();
+        emit(&mut b, children, 0);
+        b.finish().expect("generated tree is valid")
+    }
+
+    /// Node `i + 1` hangs under `parent(i)`, which must be `≤ i`.
+    fn tree(n: usize, parent: impl Fn(usize) -> usize) -> Document {
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n - 1 {
+            children[parent(i)].push(i + 1);
+        }
+        from_children(&children)
+    }
+
+    /// The docgen shape: an article of titled sections, subsections and
+    /// paragraph leaves, with fan-outs drawn from `fanouts`.
+    fn docgen_like(fanouts: &[usize]) -> Document {
+        let mut next = fanouts.iter().cycle().copied();
+        let mut next = move |lo: usize, hi: usize| lo + next.next().unwrap_or(0) % (hi - lo + 1);
+        let mut b = DocumentBuilder::new();
+        b.begin("article");
+        b.leaf("title", "t");
+        for _ in 0..next(1, 5) {
+            b.begin("section");
+            b.leaf("title", "t");
+            for _ in 0..next(2, 4) {
+                b.begin("subsection");
+                b.leaf("title", "t");
+                for _ in 0..next(3, 8) {
+                    b.leaf("par", "w");
+                }
+                b.end();
+            }
+            b.end();
+        }
+        b.end();
+        b.finish().expect("generated tree is valid")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The O(k²) kernel agrees with the O(k³) reference on every
+        /// field, over random trees, deep chains, wide stars and
+        /// docgen-shaped articles, for raw posting lists (unsorted, with
+        /// duplicates) and for the sorted, unique lists an index holds.
+        #[test]
+        fn kernel_matches_the_cubic_reference(
+            shape in 0..4usize,
+            size in 1..400usize,
+            choices in prop::collection::vec(any::<usize>(), 400),
+            raw in prop::collection::vec(any::<u32>(), 0..=300),
+        ) {
+            let d = match shape {
+                0 => tree(size, |i| choices[i] % (i + 1)),
+                1 => tree(size, |i| i),
+                2 => tree(size, |_| 0),
+                _ => docgen_like(&choices),
+            };
+            let labels = StructLabels::build(&d);
+            let mut postings: Vec<NodeId> =
+                raw.iter().map(|&x| NodeId(x % d.len() as u32)).collect();
+            prop_assert_eq!(
+                compute_term_stats(&labels, &postings),
+                reference_term_stats(&labels, &postings)
+            );
+            postings.sort_unstable();
+            postings.dedup();
+            prop_assert_eq!(
+                compute_term_stats(&labels, &postings),
+                reference_term_stats(&labels, &postings)
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_cases_match_the_cubic_reference() {
+        let cases = [
+            (
+                "<r><a><b><c><d/></c></b></a></r>",
+                (0..5).collect::<Vec<u32>>(),
+            ),
+            ("<r><a/><b/><c/></r>", vec![1, 2, 3]),
+            ("<r><a/></r>", vec![]),
+            ("<r><a/></r>", vec![0]),
+            ("<r><a/></r>", vec![0, 1]),
+        ];
+        for (xml, ids) in cases {
+            let d = parse_str(xml).unwrap();
+            let labels = StructLabels::build(&d);
+            let postings: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
+            assert_eq!(
+                compute_term_stats(&labels, &postings),
+                reference_term_stats(&labels, &postings),
+                "{xml}"
+            );
+        }
+    }
 
     #[test]
     fn chain_postings_reduce_heavily() {

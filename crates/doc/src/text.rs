@@ -22,9 +22,14 @@ use std::collections::BTreeSet;
 /// assert_eq!(toks, ["xquery", "based", "optimization", "2nd", "ed"]);
 /// ```
 pub fn tokenize(s: &str) -> impl Iterator<Item = String> + '_ {
+    raw_tokens(s).map(|t| t.to_lowercase())
+}
+
+/// The alphanumeric runs of a string, before lower-casing: the token
+/// boundaries [`tokenize`] uses.
+pub(crate) fn raw_tokens(s: &str) -> impl Iterator<Item = &str> + '_ {
     s.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
 }
 
 /// Normalize a single query term the same way document text is tokenized.
@@ -33,30 +38,29 @@ pub fn normalize_term(s: &str) -> Option<String> {
     tokenize(s).next()
 }
 
+/// The strings `keywords(n)` draws on: the node's tag name, each
+/// attribute's name and value, and its direct text, in that order.
+pub(crate) fn keyword_fields(doc: &Document, n: NodeId) -> impl Iterator<Item = &str> {
+    let node = doc.node(n);
+    std::iter::once(node.tag.as_str())
+        .chain(
+            node.attrs
+                .iter()
+                .flat_map(|(k, v)| [k.as_str(), v.as_str()]),
+        )
+        .chain(std::iter::once(node.text.as_str()))
+}
+
 /// The `keywords(n)` of Definition 1: every distinct token in the node's
 /// tag name, attribute names/values, and direct text.
 pub fn keywords(doc: &Document, n: NodeId) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let node = doc.node(n);
-    out.extend(tokenize(&node.tag));
-    for (k, v) in &node.attrs {
-        out.extend(tokenize(k));
-        out.extend(tokenize(v));
-    }
-    out.extend(tokenize(&node.text));
-    out
+    keyword_fields(doc, n).flat_map(tokenize).collect()
 }
 
 /// `k ∈ keywords(n)` — does query term `k` (already normalized) appear in
 /// the textual contents associated with node `n`?
 pub fn node_contains(doc: &Document, n: NodeId, term: &str) -> bool {
-    let node = doc.node(n);
-    tokenize(&node.tag).any(|t| t == term)
-        || node
-            .attrs
-            .iter()
-            .any(|(k, v)| tokenize(k).any(|t| t == term) || tokenize(v).any(|t| t == term))
-        || tokenize(&node.text).any(|t| t == term)
+    keyword_fields(doc, n).flat_map(tokenize).any(|t| t == term)
 }
 
 #[cfg(test)]
