@@ -1,10 +1,9 @@
 //! Substrate micro-benchmarks: XML parsing, index construction, the join
-//! kernel, pairwise joins (sequential vs parallel), and serialization —
+//! kernel, pairwise joins, collection evaluation, and serialization —
 //! the costs everything above is built on.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use xfrag_core::parallel::pairwise_join_parallel;
 use xfrag_core::{fragment_join, pairwise_join, EvalStats, Fragment, FragmentSet};
 use xfrag_corpus::docgen::{generate, DocGenConfig};
 use xfrag_doc::serialize::{document_to_xml, WriteOptions};
@@ -43,7 +42,7 @@ fn bench_store(c: &mut Criterion) {
 }
 
 fn bench_collection(c: &mut Criterion) {
-    use xfrag_core::collection::{evaluate_collection, evaluate_collection_parallel};
+    use xfrag_core::collection::evaluate_collection;
     use xfrag_core::{FilterExpr, Query};
     use xfrag_doc::Collection;
 
@@ -70,21 +69,6 @@ fn bench_collection(c: &mut Criterion) {
             )
         })
     });
-    for threads in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| {
-                black_box(
-                    evaluate_collection_parallel(
-                        &coll,
-                        black_box(&query),
-                        xfrag_core::Strategy::PushDown,
-                        t,
-                    )
-                    .unwrap(),
-                )
-            })
-        });
-    }
     group.finish();
 }
 
@@ -116,7 +100,7 @@ fn bench_join_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pairwise_parallel(c: &mut Criterion) {
+fn bench_pairwise(c: &mut Criterion) {
     let doc = generate(&DocGenConfig::default().with_approx_nodes(20_000));
     let n = doc.len() as u32;
     let f1 = FragmentSet::of_nodes((0..120).map(|i| NodeId(i * (n / 130) + 1)));
@@ -129,20 +113,6 @@ fn bench_pairwise_parallel(c: &mut Criterion) {
             black_box(pairwise_join(&doc, black_box(&f1), black_box(&f2), &mut st))
         })
     });
-    for threads in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let mut st = EvalStats::new();
-                black_box(pairwise_join_parallel(
-                    &doc,
-                    black_box(&f1),
-                    black_box(&f2),
-                    t,
-                    &mut st,
-                ))
-            })
-        });
-    }
     group.finish();
 }
 
@@ -152,6 +122,6 @@ criterion_group!(
     bench_store,
     bench_collection,
     bench_join_kernel,
-    bench_pairwise_parallel
+    bench_pairwise
 );
 criterion_main!(benches);

@@ -79,7 +79,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xfrag_bench::fixtures::{query_fixture, QueryFixture};
 use xfrag_core::{
-    evaluate, evaluate_budgeted_cached_traced, evaluate_collection_budgeted_cached_traced_routed,
+    evaluate, evaluate_budgeted_cached_traced, evaluate_collection_planned_cached_traced_routed,
     evaluate_planned_cached_traced, flight_key, Budget, CacheRef, CostModel, DocAnswers,
     ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache, Singleflight, Strategy,
     StrategyChoice, Tracer,
@@ -510,14 +510,16 @@ fn scatter_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
                     .filter(|docs| !docs.is_empty())
                     .map(|docs| {
                         s.spawn(move || {
-                            evaluate_collection_budgeted_cached_traced_routed(
+                            evaluate_collection_planned_cached_traced_routed(
                                 coll_r,
                                 query_r,
-                                strategy,
+                                StrategyChoice::Forced(strategy),
                                 policy_r,
                                 &Tracer::disabled(),
                                 None,
                                 docs,
+                                None,
+                                None,
                             )
                             .expect("unlimited scatter evaluation cannot fail")
                         })

@@ -10,7 +10,7 @@ use xfrag_core::collection::{
     evaluate_collection_planned_cached_traced_routed, top_k_collection, CollectionResult,
 };
 use xfrag_core::cost::CostModel;
-use xfrag_core::plan::{execute_governed, execute_traced};
+use xfrag_core::plan::execute_traced;
 use xfrag_core::rank::RankConfig;
 use xfrag_core::snippet::{snippet, SnippetConfig};
 use xfrag_core::trace::{
@@ -991,7 +991,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
             }
             out.push('\n');
         } else {
-            match execute_governed(&p, doc, index, &mut st, &gov) {
+            match execute_traced(&p, doc, index, &mut st, &gov, &Tracer::disabled()) {
                 Ok(set) => writeln!(out, "-> {} fragment(s), {}\n", set.len(), st).unwrap(),
                 Err(breach) => {
                     writeln!(out, "-> not executable at this stage ({breach})\n").unwrap()
@@ -1061,7 +1061,7 @@ fn explain_impl<I: PostingsSource + ?Sized>(
     let optimized = Optimizer::standard(doc, index, CostModel::default()).optimize(plan);
     let gov = Governor::new(a.budget, None);
     let mut st = EvalStats::new();
-    match execute_governed(&optimized, doc, index, &mut st, &gov) {
+    match execute_traced(&optimized, doc, index, &mut st, &gov, &Tracer::disabled()) {
         Ok(set) => writeln!(
             out,
             "budget: {} checkpoint(s) passed, {} join(s) charged, {} fragment(s) within budget",

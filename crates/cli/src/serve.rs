@@ -129,6 +129,17 @@ impl ServeArgs {
 
     /// Build the fault injector from `--inject` and/or `--fault-seed`.
     fn injector(&self) -> Result<Option<Arc<FaultInjector>>, CliError> {
+        let plan = self.fault_plan()?;
+        Ok(if plan.is_empty() {
+            None
+        } else {
+            Some(plan.build())
+        })
+    }
+
+    /// The `--inject` arms plus, with `--fault-seed`, a seeded plan over
+    /// the runtime sites a serve request traverses.
+    fn fault_plan(&self) -> Result<FaultPlan, CliError> {
         let mut plan = match &self.inject {
             None => FaultPlan::new(),
             Some(spec) => FaultPlan::parse(spec).map_err(CliError::Query)?,
@@ -136,12 +147,7 @@ impl ServeArgs {
         if let Some(seed) = self.fault_seed {
             let seeded = FaultPlan::from_seed(
                 seed,
-                &[
-                    site::SERVE_WORKER,
-                    site::COLLECTION_DOC,
-                    site::QUERY_EVAL,
-                    site::PARALLEL_WORKER,
-                ],
+                &[site::SERVE_WORKER, site::COLLECTION_DOC, site::QUERY_EVAL],
                 4,
                 8,
             );
@@ -149,11 +155,7 @@ impl ServeArgs {
                 plan = plan.arm(s.clone(), *hit, *action);
             }
         }
-        Ok(if plan.is_empty() {
-            None
-        } else {
-            Some(plan.build())
-        })
+        Ok(plan)
     }
 }
 
@@ -2377,4 +2379,30 @@ pub fn request_with_retry(
         "{} attempt(s) to {addr} all failed; last outcome: {last}",
         retries as u64 + 1,
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every arm `--fault-seed` draws must name a site some serve path
+    /// traverses; an arm on any other site would never fire.
+    #[test]
+    fn fault_seed_arms_only_traversed_sites() {
+        let traversed = [site::SERVE_WORKER, site::COLLECTION_DOC, site::QUERY_EVAL];
+        for seed in 0..64 {
+            let args = ServeArgs {
+                fault_seed: Some(seed),
+                ..ServeArgs::new("corpus")
+            };
+            let plan = args.fault_plan().unwrap();
+            assert!(!plan.is_empty(), "seed {seed} armed nothing");
+            for (s, _, _) in plan.arms() {
+                assert!(
+                    traversed.contains(&s.as_str()),
+                    "seed {seed} arms {s:?}, which no serve path traverses"
+                );
+            }
+        }
+    }
 }

@@ -150,8 +150,8 @@ impl std::fmt::Display for Breach {
 
 /// Shared, thread-safe budget enforcement for one evaluation.
 ///
-/// All counters are atomics so the parallel operators can share one
-/// governor across worker threads by reference. The deadline is resolved
+/// All counters are atomics, so threads can share one governor by
+/// reference. The deadline is resolved
 /// to an absolute [`Instant`] at construction; an unlimited governor
 /// never reads the clock.
 #[derive(Debug)]
@@ -551,6 +551,12 @@ impl ExecPolicy {
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
         self
+    }
+
+    /// A fresh [`Governor`] enforcing this policy's budget, cancel token
+    /// and fault plan. Its deadline clock starts now.
+    pub fn governor(&self) -> Governor {
+        Governor::new(self.budget, self.cancel.clone()).with_fault(self.fault.clone())
     }
 
     /// Set the breach behaviour.

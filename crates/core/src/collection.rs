@@ -7,13 +7,12 @@
 //! per-document groups, and ranking can be applied across the whole
 //! result stream.
 
-use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor};
+use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy};
 use crate::cache::{CacheRef, GenerationTag, QueryCache};
 use crate::cost::CostModel;
-use crate::fault::{panic_message, site, FaultInjector};
+use crate::fault::{panic_message, site};
 use crate::planner::{
-    evaluate_decided_cached_traced, evaluate_planned_cached_traced, PickCounters, PlanCache,
-    StrategyChoice,
+    evaluate_decided, evaluate_planned_cached_traced, PickCounters, PlanCache, StrategyChoice,
 };
 use crate::query::{evaluate, Query, QueryError, Strategy};
 use crate::rank::{score, RankConfig};
@@ -82,120 +81,6 @@ pub fn evaluate_collection(
     Ok(out)
 }
 
-/// Evaluate a collection query with document-level parallelism: candidate
-/// documents are sharded across `threads` scoped workers (fragments
-/// never span documents, so shards are independent). Results are merged
-/// in document order — output is identical to [`evaluate_collection`],
-/// which a unit test and the bench harness both verify.
-pub fn evaluate_collection_parallel(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    threads: usize,
-) -> Result<CollectionResult, QueryError> {
-    evaluate_collection_parallel_with_fault(collection, query, strategy, threads, None)
-}
-
-/// [`evaluate_collection_parallel`] with an optional [`FaultInjector`]
-/// consulted at the [`site::COLLECTION_DOC`] site before each document.
-///
-/// Per-document evaluations run under `catch_unwind`: a panic while
-/// evaluating one document (injected or genuine) becomes a
-/// [`CollectionResult::docs_failed`] entry instead of unwinding through
-/// `std::thread::scope` and aborting the caller. All other documents
-/// still answer exactly.
-pub fn evaluate_collection_parallel_with_fault(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    threads: usize,
-    fault: Option<&FaultInjector>,
-) -> Result<CollectionResult, QueryError> {
-    if query.terms.is_empty() {
-        return Err(QueryError::NoTerms);
-    }
-    let candidates: Vec<DocId> = collection.candidate_docs(&query.terms).collect();
-    let docs_pruned = collection.len() - candidates.len();
-    // The sequential fast path has no isolation boundary, so it is only
-    // taken when nothing can be injected.
-    if (threads <= 1 || candidates.len() <= 1) && fault.is_none() {
-        let mut r = evaluate_collection(collection, query, strategy)?;
-        r.docs_pruned = docs_pruned;
-        return Ok(r);
-    }
-    let threads = threads.min(candidates.len()).max(1);
-    let chunk = candidates.len().div_ceil(threads).max(1);
-    type ShardOut = (Vec<DocAnswers>, EvalStats, Vec<(DocId, String)>);
-    let mut shard_results: Vec<Result<ShardOut, QueryError>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut answers = Vec::new();
-                    let mut stats = EvalStats::new();
-                    let mut failed: Vec<(DocId, String)> = Vec::new();
-                    for &id in shard {
-                        // Isolation boundary: one document's panic must
-                        // not take down the shard. The closure only
-                        // borrows immutable state, so unwinding cannot
-                        // leave broken invariants behind (AssertUnwindSafe
-                        // is sound here).
-                        let attempt = catch_unwind(AssertUnwindSafe(
-                            || -> Result<crate::query::QueryResult, QueryError> {
-                                if let Some(inj) = fault {
-                                    inj.fire(site::COLLECTION_DOC)
-                                        .map_err(|_| QueryError::Cancelled)?;
-                                }
-                                evaluate(collection.doc(id), &collection.index(id), query, strategy)
-                            },
-                        ));
-                        match attempt {
-                            Ok(Ok(r)) => {
-                                stats += r.stats;
-                                if !r.fragments.is_empty() {
-                                    answers.push(DocAnswers {
-                                        doc: id,
-                                        fragments: r.fragments.iter().cloned().collect(),
-                                    });
-                                }
-                            }
-                            Ok(Err(e)) => return Err(e),
-                            Err(payload) => {
-                                failed.push((id, panic_message(payload.as_ref())));
-                            }
-                        }
-                    }
-                    Ok((answers, stats, failed))
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(r) => shard_results.push(r),
-                // invariant: worker closures catch per-document panics;
-                // resume propagates a panic outside that boundary (a bug
-                // in the shard loop itself) instead of swallowing it.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    let mut out = CollectionResult {
-        docs_pruned,
-        ..Default::default()
-    };
-    for r in shard_results {
-        let (answers, stats, failed) = r?;
-        out.stats += stats;
-        out.answers.extend(answers);
-        out.docs_failed.extend(failed);
-    }
-    out.answers.sort_by_key(|a| a.doc);
-    out.docs_failed.sort_by_key(|f| f.0);
-    Ok(out)
-}
-
 /// The outcome of a budgeted collection query.
 #[derive(Debug, Clone, Default)]
 pub struct BudgetedCollectionResult {
@@ -244,8 +129,9 @@ impl BudgetedCollectionResult {
 ///   documents are independent, so the partial result is still a sound
 ///   subset of the exact collection answer.
 /// * Each document then runs the full degradation ladder via
-///   [`evaluate_budgeted`], with the policy's per-document resource caps
-///   and whatever wall-clock the collection budget has left.
+///   [`crate::evaluate_budgeted`], with the policy's per-document
+///   resource caps and whatever wall-clock the collection budget has
+///   left.
 ///
 /// Cancellation aborts with [`QueryError::Cancelled`]; any other breach
 /// with [`DegradeMode::Off`] aborts with [`QueryError::BudgetExceeded`].
@@ -255,49 +141,23 @@ pub fn evaluate_collection_budgeted(
     strategy: Strategy,
     policy: &ExecPolicy,
 ) -> Result<BudgetedCollectionResult, QueryError> {
-    evaluate_collection_budgeted_traced(collection, query, strategy, policy, &Tracer::disabled())
-}
-
-/// [`evaluate_collection_budgeted`] with span recording: each candidate
-/// document runs under a `doc:{name}` span, so the per-document ladder
-/// rungs nest underneath it and the top-level `doc:` spans carry exactly
-/// one document's wall-clock and counter deltas — the input to
-/// [`crate::trace::LatencyHistogram::from_spans`] for collection-level
-/// latency aggregation.
-pub fn evaluate_collection_budgeted_traced(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-) -> Result<BudgetedCollectionResult, QueryError> {
-    evaluate_collection_budgeted_cached_traced(collection, query, strategy, policy, tracer, None)
-}
-
-/// [`evaluate_collection_budgeted_traced`] through a [`QueryCache`].
-///
-/// `cache` pairs the shared cache with the [`GenerationTag`] of *this*
-/// collection snapshot; each candidate document probes and fills under a
-/// per-document [`CacheRef`] (cache keys carry the document id, so two
-/// documents never alias). Pass `None` for the uncached path — the two
-/// produce byte-identical answers, which `tests/cache_differential.rs`
-/// verifies across strategies, policies, and fault plans.
-pub fn evaluate_collection_budgeted_cached_traced(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<(&QueryCache, GenerationTag)>,
-) -> Result<BudgetedCollectionResult, QueryError> {
     let all: Vec<DocId> = collection.ids().collect();
-    evaluate_collection_budgeted_cached_traced_routed(
-        collection, query, strategy, policy, tracer, cache, &all,
+    evaluate_collection_planned_cached_traced_routed(
+        collection,
+        query,
+        StrategyChoice::Forced(strategy),
+        policy,
+        &Tracer::disabled(),
+        None,
+        &all,
+        None,
+        None,
     )
 }
 
-/// [`evaluate_collection_budgeted_cached_traced`] restricted to a routed
-/// subset of documents — the shard-serving primitive.
+/// [`evaluate_collection_budgeted`] over a routed subset of documents,
+/// under a [`StrategyChoice`], with span recording and a cache — the
+/// shard-serving primitive.
 ///
 /// Only documents in `docs` are considered; candidate pruning, the
 /// collection governor, per-document budgets, panic isolation, and cache
@@ -308,33 +168,24 @@ pub fn evaluate_collection_budgeted_cached_traced(
 /// by [`DocId`], counters summed) reproduces the whole-collection result
 /// *exactly* — `routed_partition_merges_to_whole_collection_result`
 /// below and the serve-layer shard differential both pin this down.
-pub fn evaluate_collection_budgeted_cached_traced_routed(
-    collection: &Collection,
-    query: &Query,
-    strategy: Strategy,
-    policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<(&QueryCache, GenerationTag)>,
-    docs: &[DocId],
-) -> Result<BudgetedCollectionResult, QueryError> {
-    evaluate_collection_planned_cached_traced_routed(
-        collection,
-        query,
-        StrategyChoice::Forced(strategy),
-        policy,
-        tracer,
-        cache,
-        docs,
-        None,
-        None,
-    )
-}
-
-/// [`evaluate_collection_budgeted_cached_traced_routed`] generalized to a
-/// [`StrategyChoice`]: forced choices take exactly the legacy path, and
-/// `auto` plans per (query, document) — optionally through a shared
-/// [`PlanCache`] — executes under the divergence guard, and records the
-/// pick distribution into `picks`.
+///
+/// With a `tracer`, each candidate document runs under a `doc:{name}`
+/// span, so the per-document ladder rungs nest underneath it and the
+/// top-level `doc:` spans carry exactly one document's wall-clock and
+/// counter deltas — the input to
+/// [`crate::trace::LatencyHistogram::from_spans`].
+///
+/// `cache` pairs the shared cache with the [`GenerationTag`] of *this*
+/// collection snapshot; each candidate document probes and fills under a
+/// per-document [`CacheRef`] (cache keys carry the document id, so two
+/// documents never alias). `None` is the uncached path — the two produce
+/// byte-identical answers, which `tests/cache_differential.rs` verifies
+/// across strategies, policies, and fault plans.
+///
+/// Forced choices run the ladder directly; `auto` plans per (query,
+/// document) — optionally through a shared [`PlanCache`] — executes
+/// under the divergence guard, and records the pick distribution into
+/// `picks`.
 ///
 /// Planning is per-document and deterministic, so the routed-partition
 /// merge invariant holds for `auto` exactly as it does for forced
@@ -355,7 +206,7 @@ pub fn evaluate_collection_planned_cached_traced_routed(
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
-    let gov = Governor::new(policy.budget, policy.cancel.clone()).with_fault(policy.fault.clone());
+    let gov = policy.governor();
     let candidates: Vec<DocId> = collection
         .candidate_docs(&query.terms)
         .filter(|id| docs.contains(id))
@@ -413,7 +264,7 @@ pub fn evaluate_collection_planned_cached_traced_routed(
                                 query,
                                 &model,
                             );
-                            let r = evaluate_decided_cached_traced(
+                            let r = evaluate_decided(
                                 doc,
                                 &index,
                                 query,
@@ -516,6 +367,20 @@ mod tests {
         c
     }
 
+    fn push_down_routed(
+        c: &Collection,
+        q: &Query,
+        policy: &ExecPolicy,
+        tracer: &Tracer<'_>,
+        docs: &[DocId],
+    ) -> BudgetedCollectionResult {
+        let choice = StrategyChoice::Forced(Strategy::PushDown);
+        evaluate_collection_planned_cached_traced_routed(
+            c, q, choice, policy, tracer, None, docs, None, None,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn evaluates_candidate_docs_only() {
         let c = collection();
@@ -572,31 +437,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let mut c = Collection::new();
-        for i in 0..12 {
-            c.add(
-                format!("d{i}.xml"),
-                parse_str(&format!("<r><p>alpha item{i}</p><p>beta item{i}</p></r>")).unwrap(),
-            );
-        }
-        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
-        let seq = evaluate_collection(&c, &q, Strategy::PushDown).unwrap();
-        for threads in [1, 2, 4, 5] {
-            let par = evaluate_collection_parallel(&c, &q, Strategy::PushDown, threads).unwrap();
-            assert_eq!(par.answers.len(), seq.answers.len(), "threads={threads}");
-            for (a, b) in par.answers.iter().zip(&seq.answers) {
-                assert_eq!(a.doc, b.doc);
-                assert_eq!(a.fragments, b.fragments);
-            }
-            assert_eq!(par.stats.joins, seq.stats.joins);
-            assert_eq!(par.docs_pruned, seq.docs_pruned);
-        }
-    }
-
-    #[test]
     fn budgeted_tracing_groups_spans_per_document() {
-        use crate::trace::{LatencyHistogram, RecordingSink, Tracer};
+        use crate::trace::{LatencyHistogram, RecordingSink};
         let c = collection();
         let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
         let plain =
@@ -605,14 +447,8 @@ mod tests {
 
         let sink = RecordingSink::new();
         let tracer = Tracer::new(&sink);
-        let traced = evaluate_collection_budgeted_traced(
-            &c,
-            &q,
-            Strategy::PushDown,
-            &ExecPolicy::unlimited(),
-            &tracer,
-        )
-        .unwrap();
+        let all: Vec<DocId> = c.ids().collect();
+        let traced = push_down_routed(&c, &q, &ExecPolicy::unlimited(), &tracer, &all);
         assert_eq!(traced.answers.len(), plain.answers.len());
         assert_eq!(traced.stats.joins, plain.stats.joins);
 
@@ -630,71 +466,6 @@ mod tests {
             .all(|s| s.children.iter().any(|c| c.stage.starts_with("rung:"))));
         let hist = LatencyHistogram::from_spans(doc_spans.iter().copied());
         assert_eq!(hist.count(), 2);
-    }
-
-    #[test]
-    fn parallel_isolates_injected_panic_to_one_document() {
-        use crate::fault::{FaultAction, FaultPlan};
-        let mut c = Collection::new();
-        for i in 0..6 {
-            c.add(
-                format!("d{i}.xml"),
-                parse_str(&format!("<r><p>alpha item{i}</p><p>beta item{i}</p></r>")).unwrap(),
-            );
-        }
-        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
-        let clean = evaluate_collection_parallel(&c, &q, Strategy::PushDown, 3).unwrap();
-        assert!(clean.docs_failed.is_empty());
-
-        // Panic while evaluating the third candidate document: the
-        // process (and the evaluation) must survive with exactly one
-        // failure entry and every other document's exact answers.
-        let inj = FaultPlan::new()
-            .arm(site::COLLECTION_DOC, 2, FaultAction::Panic)
-            .build();
-        let r = evaluate_collection_parallel_with_fault(
-            &c,
-            &q,
-            Strategy::PushDown,
-            3,
-            Some(inj.as_ref()),
-        )
-        .unwrap();
-        assert_eq!(r.docs_failed.len(), 1, "{:?}", r.docs_failed);
-        assert!(r.docs_failed[0].1.contains(crate::fault::PANIC_MARKER));
-        assert_eq!(r.answers.len(), clean.answers.len() - 1);
-        let failed = r.docs_failed[0].0;
-        for a in &r.answers {
-            assert_ne!(a.doc, failed);
-            let exact = clean.answers.iter().find(|b| b.doc == a.doc).unwrap();
-            assert_eq!(a.fragments, exact.fragments);
-        }
-    }
-
-    #[test]
-    fn parallel_with_fault_isolates_even_single_threaded() {
-        use crate::fault::{FaultAction, FaultPlan};
-        let mut c = Collection::new();
-        for i in 0..3 {
-            c.add(
-                format!("d{i}.xml"),
-                parse_str(&format!("<r><p>alpha beta {i}</p></r>")).unwrap(),
-            );
-        }
-        let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(2));
-        let inj = FaultPlan::new()
-            .arm(site::COLLECTION_DOC, 0, FaultAction::Panic)
-            .build();
-        let r = evaluate_collection_parallel_with_fault(
-            &c,
-            &q,
-            Strategy::PushDown,
-            1,
-            Some(inj.as_ref()),
-        )
-        .unwrap();
-        assert_eq!(r.docs_failed.len(), 1);
-        assert_eq!(r.answers.len(), 2);
     }
 
     #[test]
@@ -775,15 +546,7 @@ mod tests {
         let q = Query::new(["alpha", "beta"], FilterExpr::MaxSize(3));
         let policy = ExecPolicy::unlimited();
         let tracer = Tracer::disabled();
-        let whole = evaluate_collection_budgeted_cached_traced(
-            &c,
-            &q,
-            Strategy::PushDown,
-            &policy,
-            &tracer,
-            None,
-        )
-        .unwrap();
+        let whole = evaluate_collection_budgeted(&c, &q, Strategy::PushDown, &policy).unwrap();
 
         for shards in [1usize, 2, 3, 4] {
             let mut parts: Vec<Vec<DocId>> = vec![Vec::new(); shards];
@@ -792,16 +555,7 @@ mod tests {
             }
             let mut merged = BudgetedCollectionResult::default();
             for part in &parts {
-                let r = evaluate_collection_budgeted_cached_traced_routed(
-                    &c,
-                    &q,
-                    Strategy::PushDown,
-                    &policy,
-                    &tracer,
-                    None,
-                    part,
-                )
-                .unwrap();
+                let r = push_down_routed(&c, &q, &policy, &tracer, part);
                 merged.answers.extend(r.answers);
                 merged.docs_failed.extend(r.docs_failed);
                 merged.degraded_docs.extend(r.degraded_docs);

@@ -37,8 +37,6 @@ pub mod site {
     pub const QUERY_EVAL: &str = "query:eval";
     /// Before each candidate document of a collection evaluation.
     pub const COLLECTION_DOC: &str = "collection:doc";
-    /// Start of each parallel-join worker shard.
-    pub const PARALLEL_WORKER: &str = "parallel:worker";
     /// A `serve` worker thread picking up a request (CLI layer).
     pub const SERVE_WORKER: &str = "serve:worker";
     /// A corpus file read during `serve` startup (CLI layer).

@@ -11,29 +11,22 @@
 //!   always enough, so run exactly that many with no stabilization checks.
 //! * [`powerset_via_fixpoint`] — Theorem 2: `F1 ⋈* F2 = F1⁺ ⋈ F2⁺`.
 //!
+//! Each operator has one implementation, a method on [`Exec`]
+//! ([`Exec::reduce`], [`Exec::fixed_point`],
+//! [`Exec::filtered_fixed_point`]); the functions above run it unlimited.
+//!
 //! Monotonicity (`F ⊆ F ⋈ F`, from idempotency of `⋈` on elements) makes
 //! the iteration sequence `F ⊆ F⋈F ⊆ F⋈F⋈F ⊆ …` an increasing chain over a
 //! finite universe, so the fixed point always exists and the naive loop
 //! terminates.
 
-use crate::budget::{Breach, Governor};
-use crate::join::{fragment_join, pairwise_join, pairwise_join_governed};
+use crate::budget::Breach;
+use crate::exec::Exec;
+use crate::filter::{select, FilterExpr};
+use crate::join::fragment_join;
 use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
-use crate::trace::Tracer;
-
-// invariant (used by every ungoverned wrapper below): an unlimited
-// governor has no limits, no deadline and no cancel token, so no charge
-// can ever breach.
-macro_rules! ungoverned {
-    ($e:expr) => {
-        match $e {
-            Ok(out) => out,
-            Err(_) => unreachable!("unlimited governor breached"),
-        }
-    };
-}
 
 /// How a fixed point should be computed — the choice §3.1 is about.
 #[derive(
@@ -58,53 +51,7 @@ pub fn fixed_point_naive<'n>(
     f: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    ungoverned!(fixed_point_naive_governed(
-        nav,
-        f,
-        stats,
-        &Governor::unlimited()
-    ))
-}
-
-/// [`fixed_point_naive`] under a [`Governor`]: a budget checkpoint runs
-/// before every round, and every pairwise join inside a round is charged.
-pub fn fixed_point_naive_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    fixed_point_naive_traced(nav, f, stats, gov, &Tracer::disabled())
-}
-
-/// [`fixed_point_naive_governed`] recorded as a `fixpoint-naive` span
-/// with one `round` child per iteration.
-pub fn fixed_point_naive_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("fixpoint-naive", stats, |stats| {
-        if f.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let mut h = f.clone();
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                Ok(pairwise_join_governed(nav, &h, f, stats, gov)?.union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
-    })
+    fixed_point(nav, f, FixpointMode::Naive, stats)
 }
 
 /// `⊖(F)` — Definition 10. Keeps exactly the fragments *not* contained in
@@ -115,59 +62,7 @@ pub fn fixed_point_naive_traced<'n>(
 /// quantified. Pairs are enumerated once (f', f'' unordered) since `⋈` is
 /// commutative.
 pub fn reduce<'n>(nav: impl Into<Nav<'n>>, f: &FragmentSet, stats: &mut EvalStats) -> FragmentSet {
-    ungoverned!(reduce_governed(nav, f, stats, &Governor::unlimited()))
-}
-
-/// [`reduce_governed`] recorded as one `reduce` span.
-pub fn reduce_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("reduce", stats, |stats| reduce_governed(nav, f, stats, gov))
-}
-
-/// [`reduce`] under a [`Governor`]: `⊖` is O(|F|³), so a checkpoint runs
-/// per candidate fragment and every inner join is charged.
-pub fn reduce_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    let frags = f.as_slice();
-    let n = frags.len();
-    if n <= 2 {
-        // "For |F| <= 2 the proof is trivial, since for any fragment set to
-        // be reduced, the set should contain at least three elements."
-        return Ok(f.clone());
-    }
-    let mut keep = FragmentSet::new();
-    'cand: for (ci, cand) in frags.iter().enumerate() {
-        gov.checkpoint()?;
-        for i in 0..n {
-            if i == ci {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if j == ci {
-                    continue;
-                }
-                stats.reduce_checks += 1;
-                gov.charge_join((frags[i].size() + frags[j].size()) as u64)?;
-                let joined = fragment_join(nav, &frags[i], &frags[j], stats);
-                if cand.is_subfragment_of(&joined) {
-                    continue 'cand; // eliminated
-                }
-            }
-        }
-        keep.insert(cand.clone());
-    }
-    Ok(keep)
+    Exec::unlimited(nav.into(), |x| x.reduce(f, stats))
 }
 
 /// The reduction factor `RF = (a − b) / a` of §5, where `a = |F|` and
@@ -218,74 +113,7 @@ pub fn fixed_point_reduced<'n>(
     f: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    ungoverned!(fixed_point_reduced_governed(
-        nav,
-        f,
-        stats,
-        &Governor::unlimited()
-    ))
-}
-
-/// [`fixed_point_reduced`] under a [`Governor`]: the `⊖` precomputation,
-/// every unchecked round and the safety/fallback rounds are all governed.
-pub fn fixed_point_reduced_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    fixed_point_reduced_traced(nav, f, stats, gov, &Tracer::disabled())
-}
-
-/// [`fixed_point_reduced_governed`] recorded as a `fixpoint-reduced` span
-/// with a `reduce` child for the `⊖` precomputation, one `round` child
-/// per iteration, and a `safety-check` child for the final verification.
-pub fn fixed_point_reduced_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("fixpoint-reduced", stats, |stats| {
-        if f.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let k = reduce_traced(nav, f, stats, gov, tracer)?.len();
-        let mut h = f.clone();
-        for _ in 1..k {
-            gov.checkpoint()?;
-            h = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                Ok(pairwise_join_governed(nav, &h, f, stats, gov)?.union(&h))
-            })?;
-        }
-        // Single safety check (see the soundness note above).
-        stats.fixpoint_checks += 1;
-        let verify = tracer
-            .scoped("safety-check", stats, |stats| {
-                pairwise_join_governed(nav, &h, f, stats, gov)
-            })?
-            .union(&h);
-        if verify.len() == h.len() {
-            return Ok(h);
-        }
-        // General-set fallback: continue with checked iteration.
-        h = verify;
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                Ok(pairwise_join_governed(nav, &h, f, stats, gov)?.union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
-    })
+    fixed_point(nav, f, FixpointMode::Reduced, stats)
 }
 
 /// `F⁺` with the mode chosen by the caller.
@@ -295,93 +123,7 @@ pub fn fixed_point<'n>(
     mode: FixpointMode,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    match mode {
-        FixpointMode::Naive => fixed_point_naive(nav, f, stats),
-        FixpointMode::Reduced => fixed_point_reduced(nav, f, stats),
-    }
-}
-
-/// [`fixed_point`] under a [`Governor`].
-pub fn fixed_point_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    mode: FixpointMode,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    match mode {
-        FixpointMode::Naive => fixed_point_naive_governed(nav, f, stats, gov),
-        FixpointMode::Reduced => fixed_point_reduced_governed(nav, f, stats, gov),
-    }
-}
-
-/// [`fixed_point_traced`] through the tier (b) cache: probe
-/// `(generation, doc, term, mode)` first, replaying the stored
-/// [`EvalStats`] delta on a hit so cached and uncached runs report
-/// identical compute counters; on a miss, compute, then store the set
-/// together with the delta it cost.
-///
-/// The stored delta's `budget_checkpoints` field carries the number of
-/// *governor* checkpoints the computation consumed (the compute itself
-/// never writes that stats field mid-run); replaying it lets the
-/// budgeted evaluator report the same checkpoint total whether or not
-/// the fixpoint work was skipped.
-///
-/// Callers must only pass a cache under governors that cannot trip on
-/// work limits (the budgeted evaluator gates tier (b) on an unlimited,
-/// cancel-free policy): a hit skips the governor charges the compute
-/// would have made, which under a work-limited governor would change
-/// where — and whether — the budget trips.
-#[allow(clippy::too_many_arguments)]
-pub fn fixed_point_memo_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    term: &str,
-    mode: FixpointMode,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-    cache: Option<crate::cache::CacheRef<'_>>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    let Some(c) = cache else {
-        return fixed_point_traced(nav, f, mode, stats, gov, tracer);
-    };
-    if let Some((set, delta)) = c.cache.get_fixpoint(c.gen, c.doc, term, mode) {
-        tracer.scoped_lazy(
-            || format!("fixpoint-cache:{term}"),
-            stats,
-            |stats| {
-                stats.cache_hits += 1;
-                *stats += delta;
-            },
-        );
-        return Ok(set);
-    }
-    stats.cache_misses += 1;
-    let before = *stats;
-    let checkpoints_before = gov.checkpoints_passed();
-    let out = fixed_point_traced(nav, f, mode, stats, gov, tracer)?;
-    let mut delta = stats.delta_since(&before);
-    delta.budget_checkpoints = gov.checkpoints_passed() - checkpoints_before;
-    c.cache.put_fixpoint(c.gen, c.doc, term, mode, &out, delta);
-    Ok(out)
-}
-
-/// [`fixed_point_governed`] with span recording, dispatching to the
-/// traced variant of the chosen mode.
-pub fn fixed_point_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f: &FragmentSet,
-    mode: FixpointMode,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    match mode {
-        FixpointMode::Naive => fixed_point_naive_traced(nav, f, stats, gov, tracer),
-        FixpointMode::Reduced => fixed_point_reduced_traced(nav, f, stats, gov, tracer),
-    }
+    Exec::unlimited(nav.into(), |x| x.fixed_point(f, mode, None, stats))
 }
 
 /// Theorem 2: `F1 ⋈* F2 = F1⁺ ⋈ F2⁺` — the rewrite that makes powerset
@@ -393,20 +135,207 @@ pub fn powerset_via_fixpoint<'n>(
     mode: FixpointMode,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    let nav = nav.into();
     if f1.is_empty() || f2.is_empty() {
         return FragmentSet::new();
     }
-    let p1 = fixed_point(nav, f1, mode, stats);
-    let p2 = fixed_point(nav, f2, mode, stats);
-    pairwise_join(nav, &p1, &p2, stats)
+    Exec::unlimited(nav.into(), |x| {
+        let p1 = x.fixed_point(f1, mode, None, stats)?;
+        let p2 = x.fixed_point(f2, mode, None, stats)?;
+        x.pairwise_join(&p1, &p2, stats)
+    })
+}
+
+impl Exec<'_> {
+    /// `⊖(F)` (Definition 10), recorded as one `reduce` span. `⊖` is
+    /// O(|F|³), so a checkpoint runs per candidate fragment and every
+    /// inner join is charged.
+    pub fn reduce(&self, f: &FragmentSet, stats: &mut EvalStats) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("reduce", stats, |stats| {
+            let frags = f.as_slice();
+            let n = frags.len();
+            if n <= 2 {
+                // "For |F| <= 2 the proof is trivial, since for any
+                // fragment set to be reduced, the set should contain at
+                // least three elements."
+                return Ok(f.clone());
+            }
+            let mut keep = FragmentSet::new();
+            'cand: for (ci, cand) in frags.iter().enumerate() {
+                self.gov.checkpoint()?;
+                for i in 0..n {
+                    if i == ci {
+                        continue;
+                    }
+                    for j in (i + 1)..n {
+                        if j == ci {
+                            continue;
+                        }
+                        stats.reduce_checks += 1;
+                        self.gov
+                            .charge_join((frags[i].size() + frags[j].size()) as u64)?;
+                        let joined = fragment_join(self.nav, &frags[i], &frags[j], stats);
+                        if cand.is_subfragment_of(&joined) {
+                            continue 'cand; // eliminated
+                        }
+                    }
+                }
+                keep.insert(cand.clone());
+            }
+            Ok(keep)
+        })
+    }
+
+    /// `F⁺` in `mode`: a `fixpoint-naive` span with one `round` child per
+    /// iteration, or a `fixpoint-reduced` span with a `reduce` child, the
+    /// unchecked `round`s and a `safety-check` (see
+    /// [`fixed_point_reduced`]). A checkpoint runs before every round.
+    ///
+    /// With a memo in the context and `term` naming the keyword `f` was
+    /// selected by, the tier (b) cache is probed under
+    /// `(generation, doc, term, mode)` first. A hit replays the stored
+    /// [`EvalStats`] delta, so cached and uncached runs report identical
+    /// compute counters; a miss computes, then stores the set with the
+    /// delta it cost. The stored delta's `budget_checkpoints` carries the
+    /// governor checkpoints the computation passed (the compute itself
+    /// never writes that field), so the budgeted evaluator reports the
+    /// same checkpoint total whether or not the work was skipped.
+    pub fn fixed_point(
+        &self,
+        f: &FragmentSet,
+        mode: FixpointMode,
+        term: Option<&str>,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        let compute = |stats: &mut EvalStats| match mode {
+            FixpointMode::Naive => self.tracer.scoped("fixpoint-naive", stats, |stats| {
+                if f.is_empty() {
+                    return Ok(FragmentSet::new());
+                }
+                self.iterate(f.clone(), f, None, stats)
+            }),
+            FixpointMode::Reduced => self.tracer.scoped("fixpoint-reduced", stats, |stats| {
+                self.reduced_fixed_point(f, stats)
+            }),
+        };
+        let (Some(c), Some(term)) = (self.cache, term) else {
+            return compute(stats);
+        };
+        if let Some((set, delta)) = c.cache.get_fixpoint(c.gen, c.doc, term, mode) {
+            self.tracer.scoped_lazy(
+                || format!("fixpoint-cache:{term}"),
+                stats,
+                |stats| {
+                    stats.cache_hits += 1;
+                    *stats += delta;
+                },
+            );
+            return Ok(set);
+        }
+        stats.cache_misses += 1;
+        let before = *stats;
+        let checkpoints_before = self.gov.checkpoints_passed();
+        let out = compute(stats)?;
+        let mut delta = stats.delta_since(&before);
+        delta.budget_checkpoints = self.gov.checkpoints_passed() - checkpoints_before;
+        c.cache.put_fixpoint(c.gen, c.doc, term, mode, &out, delta);
+        Ok(out)
+    }
+
+    /// Fixed point with per-iteration anti-monotonic filtering (§3.3's
+    /// expansion): the closure of `σ_anti(f)` under `H := σ_anti(H ⋈ F) ∪
+    /// H`, recorded as a `filtered-fixpoint` span with one `round` child
+    /// per iteration.
+    pub fn filtered_fixed_point(
+        &self,
+        f: &FragmentSet,
+        anti: &FilterExpr,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("filtered-fixpoint", stats, |stats| {
+            let base = select(self.doc(), anti, f, stats);
+            if base.is_empty() {
+                return Ok(FragmentSet::new());
+            }
+            self.iterate(base.clone(), &base, Some(anti), stats)
+        })
+    }
+
+    /// Theorem 1's `k − 1` unchecked rounds, the single safety check, and
+    /// the general-set fallback (see [`fixed_point_reduced`]).
+    fn reduced_fixed_point(
+        &self,
+        f: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        if f.is_empty() {
+            return Ok(FragmentSet::new());
+        }
+        let k = self.reduce(f, stats)?.len();
+        let mut h = f.clone();
+        for _ in 1..k {
+            self.gov.checkpoint()?;
+            h = self.round(&h, f, None, stats)?;
+        }
+        stats.fixpoint_checks += 1;
+        let verify = self
+            .tracer
+            .scoped("safety-check", stats, |stats| {
+                self.pairwise_join(&h, f, stats)
+            })?
+            .union(&h);
+        if verify.len() == h.len() {
+            return Ok(h);
+        }
+        // General-set fallback: continue with checked iteration.
+        self.iterate(verify, f, None, stats)
+    }
+
+    /// Checked iteration from `h` until `|H|` stops growing: a checkpoint
+    /// before and a fixed-point check after every [`Exec::round`].
+    fn iterate(
+        &self,
+        mut h: FragmentSet,
+        f: &FragmentSet,
+        anti: Option<&FilterExpr>,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        loop {
+            self.gov.checkpoint()?;
+            let next = self.round(&h, f, anti, stats)?;
+            stats.fixpoint_checks += 1;
+            if next.len() == h.len() {
+                return Ok(h);
+            }
+            h = next;
+        }
+    }
+
+    /// One `round` span: `H ⋈ F`, filtered by `anti` when given, unioned
+    /// with `H`.
+    fn round(
+        &self,
+        h: &FragmentSet,
+        f: &FragmentSet,
+        anti: Option<&FilterExpr>,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("round", stats, |stats| {
+            stats.fixpoint_iterations += 1;
+            let joined = self.pairwise_join(h, f, stats)?;
+            Ok(match anti {
+                Some(p) => select(self.doc(), p, &joined, stats),
+                None => joined,
+            }
+            .union(h))
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fragment::Fragment;
-    use crate::join::powerset_join;
+    use crate::join::{pairwise_join, powerset_join};
     use xfrag_doc::{DocumentBuilder, NodeId};
 
     /// The Figure 4 tree: a root with children n1, n5, n7 where n1 has

@@ -13,12 +13,12 @@
 //!   against which Theorem 2's fixed-point rewrite is property-tested, and
 //!   the paper's §4.1 "brute force" strategy.
 
-use crate::budget::{Breach, Governor};
+use crate::budget::Breach;
+use crate::exec::Exec;
 use crate::fragment::Fragment;
 use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
-use crate::trace::Tracer;
 use xfrag_doc::NodeId;
 
 /// `f1 ⋈ f2` (Definition 4).
@@ -163,52 +163,7 @@ pub fn pairwise_join<'n>(
     f2: &FragmentSet,
     stats: &mut EvalStats,
 ) -> FragmentSet {
-    match pairwise_join_governed(nav, f1, f2, stats, &Governor::unlimited()) {
-        Ok(out) => out,
-        // invariant: an unlimited governor has no limits, no deadline and
-        // no cancel token, so no charge can ever breach.
-        Err(_) => unreachable!("unlimited governor breached"),
-    }
-}
-
-/// [`pairwise_join`] under a [`Governor`]: every join kernel is charged,
-/// and the loop aborts with the breach as soon as the budget trips.
-pub fn pairwise_join_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    let mut out = FragmentSet::new();
-    for a in f1.iter() {
-        for b in f2.iter() {
-            gov.charge_join((a.size() + b.size()) as u64)?;
-            let j = fragment_join(nav, a, b, stats);
-            gov.charge_fragments(1)?;
-            stats.fragments_emitted += 1;
-            if !out.insert(j) {
-                stats.duplicates_collapsed += 1;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// [`pairwise_join_governed`] recorded as one `pairwise-join` span.
-pub fn pairwise_join_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("pairwise-join", stats, |stats| {
-        pairwise_join_governed(nav, f1, f2, stats, gov)
-    })
+    Exec::unlimited(nav.into(), |x| x.pairwise_join(f1, f2, stats))
 }
 
 /// Inputs larger than this are rejected by [`powerset_join`]: the literal
@@ -235,6 +190,18 @@ impl std::fmt::Display for PowersetTooLarge {
 
 impl std::error::Error for PowersetTooLarge {}
 
+impl PowersetTooLarge {
+    /// Reject the first of `sets` too large for literal enumeration.
+    pub(crate) fn check<'s>(
+        sets: impl IntoIterator<Item = &'s FragmentSet>,
+    ) -> Result<(), PowersetTooLarge> {
+        match sets.into_iter().find(|s| s.len() > POWERSET_LIMIT) {
+            Some(s) => Err(PowersetTooLarge { len: s.len() }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// `F1 ⋈* F2` (Definition 6), by literal subset enumeration.
 pub fn powerset_join<'n>(
     nav: impl Into<Nav<'n>>,
@@ -242,79 +209,154 @@ pub fn powerset_join<'n>(
     f2: &FragmentSet,
     stats: &mut EvalStats,
 ) -> Result<FragmentSet, PowersetTooLarge> {
-    for s in [f1, f2] {
-        if s.len() > POWERSET_LIMIT {
-            return Err(PowersetTooLarge { len: s.len() });
-        }
-    }
-    match powerset_join_governed(nav, f1, f2, stats, &Governor::unlimited()) {
-        Ok(out) => Ok(out),
-        // invariant: operand sizes were checked above and an unlimited
-        // governor cannot breach.
-        Err(_) => unreachable!("unlimited governor breached"),
-    }
+    PowersetTooLarge::check([f1, f2])?;
+    Ok(Exec::unlimited(nav.into(), |x| {
+        x.powerset_join(f1, f2, stats)
+    }))
 }
 
-/// [`powerset_join`] under a [`Governor`]. Size violations surface as
-/// [`Breach::PowersetLimit`] so the degradation ladder can treat an
-/// over-large literal enumeration like any other exhausted budget.
-pub fn powerset_join_governed<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    for s in [f1, f2] {
-        if s.len() > POWERSET_LIMIT {
-            return Err(Breach::PowersetLimit);
-        }
-    }
-    let mut out = FragmentSet::new();
-    let a: Vec<&Fragment> = f1.iter().collect();
-    let b: Vec<&Fragment> = f2.iter().collect();
-    for ma in 1u32..(1 << a.len()) {
-        gov.checkpoint()?;
-        for mb in 1u32..(1 << b.len()) {
-            let chosen = a
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| ma & (1 << i) != 0)
-                .map(|(_, f)| *f)
-                .chain(
-                    b.iter()
-                        .enumerate()
-                        .filter(|(i, _)| mb & (1 << i) != 0)
-                        .map(|(_, f)| *f),
-                );
-            // invariant: both masks are non-zero, so at least one
-            // fragment is always chosen.
-            let joined = fragment_join_many(nav, chosen, stats).expect("non-empty selection");
-            gov.charge_join(joined.size() as u64)?;
-            gov.charge_fragments(1)?;
-            stats.fragments_emitted += 1;
-            if !out.insert(joined) {
-                stats.duplicates_collapsed += 1;
+impl Exec<'_> {
+    /// `F1 ⋈ F2` (Definition 5). Every join kernel is charged, and the
+    /// loop aborts with the breach as soon as the budget trips. Opens no
+    /// span of its own: callers that show the join as a stage wrap it in
+    /// a `pairwise-join` span.
+    pub fn pairwise_join(
+        &self,
+        f1: &FragmentSet,
+        f2: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        let mut out = FragmentSet::new();
+        for a in f1.iter() {
+            for b in f2.iter() {
+                self.gov.charge_join((a.size() + b.size()) as u64)?;
+                let j = fragment_join(self.nav, a, b, stats);
+                self.gov.charge_fragments(1)?;
+                stats.fragments_emitted += 1;
+                if !out.insert(j) {
+                    stats.duplicates_collapsed += 1;
+                }
             }
         }
+        Ok(out)
     }
-    Ok(out)
+
+    /// Left-to-right pairwise fold `F1 ⋈ F2 ⋈ … ⋈ Fm`, recorded as one
+    /// `join-fold` span with a checkpoint and a `pairwise-join` child per
+    /// step.
+    pub fn join_fold(
+        &self,
+        sets: Vec<FragmentSet>,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("join-fold", stats, |stats| {
+            let mut it = sets.into_iter();
+            // invariant: callers pass one set per query term and reject
+            // term-less queries before reaching this fold.
+            let mut acc = it.next().expect("at least one operand");
+            for f in it {
+                self.gov.checkpoint()?;
+                acc = self.tracer.scoped("pairwise-join", stats, |stats| {
+                    self.pairwise_join(&acc, &f, stats)
+                })?;
+            }
+            Ok(acc)
+        })
+    }
+
+    /// `F1 ⋈* F2` (Definition 6) by literal subset enumeration, recorded
+    /// as one `powerset-join` span: a checkpoint per left subset, every
+    /// n-ary join charged. Operands over [`POWERSET_LIMIT`] report
+    /// [`Breach::PowersetLimit`], so the degradation ladder treats an
+    /// over-large enumeration like any other exhausted budget.
+    pub fn powerset_join(
+        &self,
+        f1: &FragmentSet,
+        f2: &FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("powerset-join", stats, |stats| {
+            if PowersetTooLarge::check([f1, f2]).is_err() {
+                return Err(Breach::PowersetLimit);
+            }
+            let mut out = FragmentSet::new();
+            let a: Vec<&Fragment> = f1.iter().collect();
+            let b: Vec<&Fragment> = f2.iter().collect();
+            for ma in 1u32..(1 << a.len()) {
+                self.gov.checkpoint()?;
+                for mb in 1u32..(1 << b.len()) {
+                    let chosen = masked(&a, ma).chain(masked(&b, mb));
+                    self.emit_join_many(chosen, &mut out, stats)?;
+                }
+            }
+            Ok(out)
+        })
+    }
+
+    /// §4.1 brute force, the m-ary powerset join: every choice of one
+    /// non-empty subset per operand, each union joined, recorded as one
+    /// `brute-force` span. An over-large operand reports
+    /// [`Breach::PowersetLimit`].
+    pub fn brute_force(
+        &self,
+        operands: &[FragmentSet],
+        stats: &mut EvalStats,
+    ) -> Result<FragmentSet, Breach> {
+        self.tracer.scoped("brute-force", stats, |stats| {
+            if PowersetTooLarge::check(operands).is_err() {
+                return Err(Breach::PowersetLimit);
+            }
+            let slices: Vec<Vec<&Fragment>> = operands.iter().map(|s| s.iter().collect()).collect();
+            let mut out = FragmentSet::new();
+            // Odometer over non-empty subset masks of each operand.
+            let mut masks: Vec<u32> = vec![1; slices.len()];
+            loop {
+                let chosen = slices.iter().zip(&masks).flat_map(|(fs, &m)| masked(fs, m));
+                self.emit_join_many(chosen, &mut out, stats)?;
+                let mut i = 0;
+                loop {
+                    if i == masks.len() {
+                        return Ok(out);
+                    }
+                    masks[i] += 1;
+                    if masks[i] < (1u32 << slices[i].len()) {
+                        break;
+                    }
+                    masks[i] = 1;
+                    i += 1;
+                }
+            }
+        })
+    }
+
+    /// Join one enumerated subset union with [`fragment_join_many`],
+    /// charge it, and insert it into `out`.
+    fn emit_join_many<'f>(
+        &self,
+        chosen: impl Iterator<Item = &'f Fragment>,
+        out: &mut FragmentSet,
+        stats: &mut EvalStats,
+    ) -> Result<(), Breach> {
+        // invariant: both enumerations only produce non-zero masks, so at
+        // least one fragment is always chosen.
+        let joined = fragment_join_many(self.nav, chosen, stats).expect("non-empty selection");
+        self.gov.charge_join(joined.size() as u64)?;
+        self.gov.charge_fragments(1)?;
+        stats.fragments_emitted += 1;
+        if !out.insert(joined) {
+            stats.duplicates_collapsed += 1;
+        }
+        Ok(())
+    }
 }
 
-/// [`powerset_join_governed`] recorded as one `powerset-join` span.
-pub fn powerset_join_traced<'n>(
-    nav: impl Into<Nav<'n>>,
-    f1: &FragmentSet,
-    f2: &FragmentSet,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let nav = nav.into();
-    tracer.scoped("powerset-join", stats, |stats| {
-        powerset_join_governed(nav, f1, f2, stats, gov)
-    })
+/// The fragments of `frags` selected by the bit mask `mask`.
+fn masked<'s, 'f>(frags: &'s [&'f Fragment], mask: u32) -> impl Iterator<Item = &'f Fragment> + 's {
+    frags
+        .iter()
+        .enumerate()
+        .filter(move |(i, _)| mask & (1 << i) != 0)
+        .map(|(_, f)| *f)
 }
 
 /// The unique *candidate fragment sets* of a powerset join — the second
@@ -328,26 +370,17 @@ pub fn powerset_join_candidates<'n>(
     stats: &mut EvalStats,
 ) -> Result<Vec<(Vec<Fragment>, Fragment)>, PowersetTooLarge> {
     let nav = nav.into();
-    for s in [f1, f2] {
-        if s.len() > POWERSET_LIMIT {
-            return Err(PowersetTooLarge { len: s.len() });
-        }
-    }
+    PowersetTooLarge::check([f1, f2])?;
     let a: Vec<&Fragment> = f1.iter().collect();
     let b: Vec<&Fragment> = f2.iter().collect();
     let mut seen: std::collections::HashSet<Vec<Fragment>> = Default::default();
     let mut out = Vec::new();
     for ma in 1u32..(1 << a.len()) {
         for mb in 1u32..(1 << b.len()) {
-            let mut union: Vec<Fragment> = a
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| ma & (1 << i) != 0)
-                .map(|(_, f)| (*f).clone())
-                .collect();
-            for (i, f) in b.iter().enumerate() {
-                if mb & (1 << i) != 0 && !union.contains(f) {
-                    union.push((*f).clone());
+            let mut union: Vec<Fragment> = masked(&a, ma).cloned().collect();
+            for f in masked(&b, mb) {
+                if !union.contains(f) {
+                    union.push(f.clone());
                 }
             }
             union.sort();

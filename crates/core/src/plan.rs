@@ -13,18 +13,17 @@
 //!   below pairwise joins and into fixed-point iterations;
 //! * [`ChooseFixpointMode`] — the §5 decision rule, delegating to
 //!   [`crate::cost::CostModel`];
-//! * [`execute`] — the physical interpreter, shared by every path;
+//! * [`execute`] / [`execute_traced`] — the one physical interpreter,
+//!   unlimited or under a governor and tracer;
 //! * [`LogicalPlan::render`] — the indented evaluation-tree printer
 //!   (compare Figure 5 (a) and (b)).
 
 use crate::budget::{Breach, Governor};
 use crate::cost::CostModel;
+use crate::exec::Exec;
 use crate::filter::{select, FilterExpr};
-use crate::fixpoint::{fixed_point, fixed_point_traced, FixpointMode};
-use crate::join::{
-    pairwise_join, pairwise_join_governed, pairwise_join_traced, powerset_join,
-    powerset_join_traced,
-};
+use crate::fixpoint::FixpointMode;
+use crate::join::PowersetTooLarge;
 use crate::nav::Nav;
 use crate::query::{Query, QueryError};
 use crate::set::FragmentSet;
@@ -607,75 +606,31 @@ impl<'a> Optimizer<'a> {
 /// through a [`Nav`] built from the source's labels, so a persistent
 /// segment executes plans by label arithmetic, an in-memory index by
 /// tree walks.
+///
+/// The plan interpreter of [`execute_traced`], run unlimited and
+/// untraced; unlike that entry, it computes unfiltered fixed points of
+/// any size.
 pub fn execute<I: PostingsSource + ?Sized>(
     plan: &LogicalPlan,
     doc: &Document,
     index: &I,
     stats: &mut EvalStats,
 ) -> Result<FragmentSet, QueryError> {
-    let nav = Nav::new(doc, index.labels());
-    match plan {
-        LogicalPlan::KeywordSelect { term } => {
-            Ok(FragmentSet::of_nodes(index.postings(term).iter().copied()))
-        }
-        LogicalPlan::Select { filter, input } => {
-            let f = execute(input, doc, index, stats)?;
-            Ok(select(doc, filter, &f, stats))
-        }
-        LogicalPlan::PairwiseJoin { left, right } => {
-            let l = execute(left, doc, index, stats)?;
-            let r = execute(right, doc, index, stats)?;
-            if l.is_empty() || r.is_empty() {
-                return Ok(FragmentSet::new());
-            }
-            Ok(pairwise_join(nav, &l, &r, stats))
-        }
-        LogicalPlan::PowersetJoin { left, right } => {
-            let l = execute(left, doc, index, stats)?;
-            let r = execute(right, doc, index, stats)?;
-            if l.is_empty() || r.is_empty() {
-                return Ok(FragmentSet::new());
-            }
-            Ok(powerset_join(nav, &l, &r, stats)?)
-        }
-        LogicalPlan::FixedPoint {
-            input,
-            mode,
-            inner_filter,
-        } => {
-            let f = execute(input, doc, index, stats)?;
-            match inner_filter {
-                None => Ok(fixed_point(nav, &f, *mode, stats)),
-                Some(p) => Ok(filtered_fixed_point(nav, &f, p, stats)),
-            }
-        }
-        LogicalPlan::Union { left, right } => {
-            let l = execute(left, doc, index, stats)?;
-            let r = execute(right, doc, index, stats)?;
-            Ok(l.union(&r))
-        }
-    }
+    let (gov, tracer) = (Governor::unlimited(), Tracer::disabled());
+    let x = Exec::new(Nav::new(doc, index.labels()), &gov, &tracer);
+    interpret(plan, &x, index, stats, false)
 }
 
-/// [`execute`] under a [`Governor`]: a budget checkpoint runs at every
-/// operator boundary (so even a deep plan observes deadlines and
-/// cancellation promptly) and every join/fixed-point operator charges the
-/// governor. Powerset operands over [`crate::POWERSET_LIMIT`] surface as
-/// [`Breach::PowersetLimit`] instead of a hard error.
-pub fn execute_governed<I: PostingsSource + ?Sized>(
-    plan: &LogicalPlan,
-    doc: &Document,
-    index: &I,
-    stats: &mut EvalStats,
-    gov: &Governor,
-) -> Result<FragmentSet, Breach> {
-    execute_traced(plan, doc, index, stats, gov, &Tracer::disabled())
-}
-
-/// [`execute_governed`] with span recording: every plan operator opens a
-/// span labeled by [`LogicalPlan::label`], nested to mirror the plan
-/// tree, with fixed-point operators contributing their per-round child
-/// spans — the execution side of `explain --analyze`.
+/// [`execute`] under a [`Governor`], with span recording: a budget
+/// checkpoint runs at every operator boundary (so even a deep plan
+/// observes deadlines and cancellation promptly), every join and
+/// fixed-point operator charges the governor, and every plan operator
+/// opens a span labeled by [`LogicalPlan::label`], nested to mirror the
+/// plan tree, with fixed-point operators contributing their per-round
+/// child spans — the execution side of `explain --analyze`. Powerset
+/// operands over [`crate::POWERSET_LIMIT`] surface as
+/// [`Breach::PowersetLimit`], and so do unfiltered fixed points of more
+/// than that many fragments when the governor bounds no work.
 pub fn execute_traced<I: PostingsSource + ?Sized>(
     plan: &LogicalPlan,
     doc: &Document,
@@ -684,127 +639,86 @@ pub fn execute_traced<I: PostingsSource + ?Sized>(
     gov: &Governor,
     tracer: &Tracer<'_>,
 ) -> Result<FragmentSet, Breach> {
-    let nav = Nav::new(doc, index.labels());
-    tracer.scoped_lazy(
+    let x = Exec::new(Nav::new(doc, index.labels()), gov, tracer);
+    interpret(plan, &x, index, stats, true).map_err(|e| match e {
+        QueryError::BudgetExceeded(breach) => breach,
+        QueryError::Cancelled => Breach::Cancelled,
+        _ => Breach::PowersetLimit,
+    })
+}
+
+/// The one plan interpreter. `bound_closures` refuses unfiltered fixed
+/// points over more than [`crate::POWERSET_LIMIT`] fragments when the
+/// governor bounds no work.
+fn interpret<I: PostingsSource + ?Sized>(
+    plan: &LogicalPlan,
+    x: &Exec<'_>,
+    index: &I,
+    stats: &mut EvalStats,
+    bound_closures: bool,
+) -> Result<FragmentSet, QueryError> {
+    let run =
+        |p: &LogicalPlan, stats: &mut EvalStats| interpret(p, x, index, stats, bound_closures);
+    x.tracer.scoped_lazy(
         || plan.label(),
         stats,
         |stats| {
-            gov.checkpoint()?;
-            match plan {
+            x.gov.checkpoint()?;
+            Ok(match plan {
                 LogicalPlan::KeywordSelect { term } => {
-                    Ok(crate::query::term_operand(index, term, tracer, stats))
+                    crate::query::term_operand(index, term, x.tracer, stats)
                 }
                 LogicalPlan::Select { filter, input } => {
-                    let f = execute_traced(input, doc, index, stats, gov, tracer)?;
-                    Ok(select(doc, filter, &f, stats))
+                    let f = run(input, stats)?;
+                    select(x.doc(), filter, &f, stats)
                 }
                 LogicalPlan::PairwiseJoin { left, right } => {
-                    let l = execute_traced(left, doc, index, stats, gov, tracer)?;
-                    let r = execute_traced(right, doc, index, stats, gov, tracer)?;
+                    let (l, r) = (run(left, stats)?, run(right, stats)?);
                     if l.is_empty() || r.is_empty() {
                         return Ok(FragmentSet::new());
                     }
-                    pairwise_join_traced(nav, &l, &r, stats, gov, tracer)
+                    x.tracer.scoped("pairwise-join", stats, |stats| {
+                        x.pairwise_join(&l, &r, stats)
+                    })?
                 }
                 LogicalPlan::PowersetJoin { left, right } => {
-                    let l = execute_traced(left, doc, index, stats, gov, tracer)?;
-                    let r = execute_traced(right, doc, index, stats, gov, tracer)?;
+                    let (l, r) = (run(left, stats)?, run(right, stats)?);
                     if l.is_empty() || r.is_empty() {
                         return Ok(FragmentSet::new());
                     }
-                    powerset_join_traced(nav, &l, &r, stats, gov, tracer)
+                    x.powerset_join(&l, &r, stats)
+                        .map_err(|breach| QueryError::from_breach(breach, [&l, &r]))?
                 }
                 LogicalPlan::FixedPoint {
                     input,
                     mode,
                     inner_filter,
                 } => {
-                    let f = execute_traced(input, doc, index, stats, gov, tracer)?;
-                    // An unbounded governor cannot stop an unfiltered closure
-                    // blow-up, and Theorem 2 says |F⁺| can reach the powerset
-                    // size — refuse it like the literal enumeration would.
-                    // Filtered fixed points stay admissible: the pushed-down
-                    // anti-monotonic filter is what makes them tractable.
-                    if inner_filter.is_none()
-                        && !gov.is_work_bounded()
-                        && f.len() > crate::join::POWERSET_LIMIT
-                    {
-                        return Err(Breach::PowersetLimit);
-                    }
+                    let f = run(input, stats)?;
                     match inner_filter {
-                        None => fixed_point_traced(nav, &f, *mode, stats, gov, tracer),
-                        Some(p) => filtered_fixed_point_governed(nav, &f, p, stats, gov, tracer),
+                        Some(p) => x.filtered_fixed_point(&f, p, stats)?,
+                        None => {
+                            // An unbounded governor cannot stop an
+                            // unfiltered closure blow-up, and Theorem 2 says
+                            // |F⁺| can reach the powerset size — refuse it
+                            // like the literal enumeration would. Filtered
+                            // fixed points stay admissible: the pushed-down
+                            // anti-monotonic filter is what makes them
+                            // tractable.
+                            if bound_closures && !x.gov.is_work_bounded() {
+                                PowersetTooLarge::check([&f])?;
+                            }
+                            x.fixed_point(&f, *mode, None, stats)?
+                        }
                     }
                 }
                 LogicalPlan::Union { left, right } => {
-                    let l = execute_traced(left, doc, index, stats, gov, tracer)?;
-                    let r = execute_traced(right, doc, index, stats, gov, tracer)?;
-                    Ok(l.union(&r))
+                    let l = run(left, stats)?;
+                    l.union(&run(right, stats)?)
                 }
-            }
+            })
         },
     )
-}
-
-/// Fixed point with per-iteration anti-monotonic filtering (§3.3's
-/// expansion). Mirrors `query::filtered_fixed_point`; duplicated here to
-/// keep the plan interpreter self-contained.
-fn filtered_fixed_point(
-    nav: Nav<'_>,
-    f: &FragmentSet,
-    anti: &FilterExpr,
-    stats: &mut EvalStats,
-) -> FragmentSet {
-    let doc = nav.doc();
-    let base = select(doc, anti, f, stats);
-    if base.is_empty() {
-        return FragmentSet::new();
-    }
-    let mut h = base.clone();
-    loop {
-        stats.fixpoint_iterations += 1;
-        let joined = pairwise_join(nav, &h, &base, stats);
-        let kept = select(doc, anti, &joined, stats);
-        let next = kept.union(&h);
-        stats.fixpoint_checks += 1;
-        if next.len() == h.len() {
-            return h;
-        }
-        h = next;
-    }
-}
-
-/// Governed + traced variant of [`filtered_fixed_point`]: checkpoint per
-/// round, joins charged, a `filtered-fixpoint` span with `round` children.
-fn filtered_fixed_point_governed(
-    nav: Nav<'_>,
-    f: &FragmentSet,
-    anti: &FilterExpr,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    let doc = nav.doc();
-    tracer.scoped("filtered-fixpoint", stats, |stats| {
-        let base = select(doc, anti, f, stats);
-        if base.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let mut h = base.clone();
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                let joined = pairwise_join_governed(nav, &h, &base, stats, gov)?;
-                Ok(select(doc, anti, &joined, stats).union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
-    })
 }
 
 #[cfg(test)]

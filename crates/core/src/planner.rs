@@ -36,13 +36,14 @@
 //! never leaks into a result's [`EvalStats`], which must stay
 //! byte-identical to forced evaluation.
 
-use crate::budget::{Budget, ExecPolicy};
+use crate::budget::{Budget, ExecPolicy, Governor};
 use crate::cache::{CacheRef, GenerationTag};
 use crate::cost::{estimate_rf, CostEstimate, CostModel};
+use crate::exec::Exec;
 use crate::fixpoint::FixpointMode;
+use crate::nav::Nav;
 use crate::query::{
-    evaluate_budgeted_cached_guarded_traced, evaluate_budgeted_cached_traced, Query, QueryError,
-    QueryResult, Strategy,
+    evaluate_budgeted_cached_traced, evaluate_ladder, Query, QueryError, QueryResult, Strategy,
 };
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
@@ -400,8 +401,7 @@ pub fn plan_query<I: PostingsSource + ?Sized>(
 /// policy allows, and re-planning to the conservative strategy on a
 /// guard trip. Updates `decision.effective`/`replanned` to what actually
 /// ran.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_decided_cached_traced<I: PostingsSource + ?Sized>(
+pub(crate) fn evaluate_decided<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
     query: &Query,
@@ -415,7 +415,7 @@ pub fn evaluate_decided_cached_traced<I: PostingsSource + ?Sized>(
     // evidence. Only the unlimited case can attribute a breach to a bad
     // estimate.
     let guard = if !policy.budget.is_limited() && policy.cancel.is_none() {
-        decision.guard.as_ref()
+        decision.guard
     } else {
         None
     };
@@ -430,16 +430,11 @@ pub fn evaluate_decided_cached_traced<I: PostingsSource + ?Sized>(
             cache,
         );
     };
-    match evaluate_budgeted_cached_guarded_traced(
-        doc,
-        index,
-        query,
-        decision.picked,
-        policy,
-        tracer,
-        cache,
-        Some(guard),
-    ) {
+    // The guard swaps only the governor's caps; the ladder still keys the
+    // cache and gates its tiers on the caller's policy.
+    let gov = Governor::new(guard, policy.cancel.clone()).with_fault(policy.fault.clone());
+    let x = Exec::new(Nav::new(doc, index.labels()), &gov, tracer).with_cache(cache);
+    match evaluate_ladder(&x, index, query, decision.picked, policy, true) {
         Ok(r) => Ok(r),
         Err(QueryError::BudgetExceeded(breach)) => {
             // Actuals diverged from the estimates. Fall back to the
@@ -501,15 +496,7 @@ pub fn evaluate_planned_cached_traced<I: PostingsSource + ?Sized>(
             let mut decision = tracer.scoped("plan:choose", &mut scratch, |scratch| {
                 plan_query(doc, index, query, model, scratch)
             });
-            let r = evaluate_decided_cached_traced(
-                doc,
-                index,
-                query,
-                &mut decision,
-                policy,
-                tracer,
-                cache,
-            )?;
+            let r = evaluate_decided(doc, index, query, &mut decision, policy, tracer, cache)?;
             Ok((r, decision))
         }
     }

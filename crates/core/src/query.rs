@@ -23,21 +23,17 @@
 
 use crate::budget::{Breach, Degradation, DegradeMode, ExecPolicy, Governor, Rung, TOP_CANDIDATES};
 use crate::cache::{CacheRef, ResultKey};
+use crate::exec::Exec;
 use crate::filter::{select, FilterExpr};
-use crate::fixpoint::{
-    fixed_point_memo_traced, fixed_point_naive_traced, fixed_point_reduced_traced, reduce,
-    reduce_traced, FixpointMode,
-};
-use crate::join::{
-    fragment_join_many, pairwise_join_governed, pairwise_join_traced, PowersetTooLarge,
-};
+use crate::fixpoint::{reduce, FixpointMode};
+use crate::join::{fragment_join_many, PowersetTooLarge};
 use crate::nav::Nav;
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
 use crate::trace::Tracer;
 use serde::{Deserialize, Serialize};
 use xfrag_doc::text::normalize_term;
-use xfrag_doc::{Document, PostingsSource};
+use xfrag_doc::{Document, Postings, PostingsSource, StructLabels};
 
 /// A keyword query with a selection predicate (Definition 7).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -188,13 +184,26 @@ impl From<PowersetTooLarge> for QueryError {
     }
 }
 
-// invariant (used wherever an unlimited governor drives a governed
-// kernel): an unlimited governor has no limits, no deadline and no cancel
-// token, so no charge can ever breach.
-fn unbreachable<T>(r: Result<T, Breach>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(_) => unreachable!("unlimited governor breached"),
+impl From<Breach> for QueryError {
+    fn from(breach: Breach) -> Self {
+        match breach {
+            Breach::Cancelled => QueryError::Cancelled,
+            breach => QueryError::BudgetExceeded(breach),
+        }
+    }
+}
+
+impl QueryError {
+    /// `breach` as the error of an evaluation over `operands`: a tripped
+    /// powerset size guard names the operand that was too large.
+    pub(crate) fn from_breach<'s>(
+        breach: Breach,
+        operands: impl IntoIterator<Item = &'s FragmentSet>,
+    ) -> Self {
+        match (breach, PowersetTooLarge::check(operands)) {
+            (Breach::PowersetLimit, Err(too_large)) => too_large.into(),
+            _ => breach.into(),
+        }
     }
 }
 
@@ -235,10 +244,52 @@ pub(crate) fn term_operand<I: PostingsSource + ?Sized>(
     }
 }
 
+/// Every operand set of `query`, one `term-lookup:{term}` span each,
+/// through the postings tier (a) of `cache` when one is given. Postings
+/// construction is ungoverned, so this tier is sound under every policy.
+fn term_operands<I: PostingsSource + ?Sized>(
+    index: &I,
+    query: &Query,
+    tracer: &Tracer<'_>,
+    cache: Option<CacheRef<'_>>,
+    stats: &mut EvalStats,
+) -> Vec<FragmentSet> {
+    query
+        .terms
+        .iter()
+        .map(|t| {
+            tracer.scoped_lazy(
+                || format!("term-lookup:{t}"),
+                stats,
+                |stats| match cache {
+                    Some(c) => match c.cache.get_postings(c.gen, c.doc, t) {
+                        Some(set) => {
+                            stats.cache_hits += 1;
+                            set
+                        }
+                        None => {
+                            stats.cache_misses += 1;
+                            let set = term_operand(index, t, tracer, stats);
+                            c.cache.put_postings(c.gen, c.doc, t, &set);
+                            set
+                        }
+                    },
+                    None => term_operand(index, t, tracer, stats),
+                },
+            )
+        })
+        .collect()
+}
+
 /// [`evaluate`] with span recording: one `term-lookup:{term}` span per
 /// keyword selection (with an `index:load:{term}` child when the posting
 /// list is decoded from a segment), then the strategy's own span tree
 /// (fixpoints with per-round children, joins, the final `select-top`).
+///
+/// Runs the same strategy dispatch as the degradation ladder's first
+/// rung, under an unlimited governor and without the ladder around it:
+/// no `rung:*` span, no `query:eval` fault point, no budget checkpoints
+/// in the stats.
 pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     doc: &Document,
     index: &I,
@@ -246,118 +297,21 @@ pub fn evaluate_traced<I: PostingsSource + ?Sized>(
     strategy: Strategy,
     tracer: &Tracer<'_>,
 ) -> Result<QueryResult, QueryError> {
-    let nav = Nav::new(doc, index.labels());
-    // Fi = σ_{keyword=ki}(nodes(D)) — single-node fragments.
-    let mut lookup_stats = EvalStats::new();
-    let operands: Vec<FragmentSet> = query
-        .terms
-        .iter()
-        .map(|t| {
-            tracer.scoped_lazy(
-                || format!("term-lookup:{t}"),
-                &mut lookup_stats,
-                |stats| term_operand(index, t, tracer, stats),
-            )
-        })
-        .collect();
-    evaluate_operands_traced(nav, query, strategy, &operands, tracer)
-}
-
-/// Strategy dispatch over pre-built operand sets (shared by [`evaluate`]
-/// and the scoped/hybrid entry point).
-pub(crate) fn evaluate_operands(
-    nav: Nav<'_>,
-    query: &Query,
-    strategy: Strategy,
-    operands: &[FragmentSet],
-) -> Result<QueryResult, QueryError> {
-    evaluate_operands_traced(nav, query, strategy, operands, &Tracer::disabled())
-}
-
-/// Traced strategy dispatch over pre-built operand sets.
-pub(crate) fn evaluate_operands_traced(
-    nav: Nav<'_>,
-    query: &Query,
-    strategy: Strategy,
-    operands: &[FragmentSet],
-    tracer: &Tracer<'_>,
-) -> Result<QueryResult, QueryError> {
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
-    let doc = nav.doc();
-    let mut stats = EvalStats::new();
-
-    // Conjunctive semantics: a term with no occurrences empties the answer.
-    if operands.iter().any(FragmentSet::is_empty) {
-        return Ok(QueryResult {
-            fragments: FragmentSet::new(),
-            stats,
-            degradation: Degradation::none(),
-        });
-    }
-
     let gov = Governor::unlimited();
-    let raw = match strategy {
-        Strategy::BruteForce => tracer.scoped("brute-force", &mut stats, |stats| {
-            brute_force(nav, operands, stats)
-        })?,
-        Strategy::FixedPointNaive => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .map(|f| unbreachable(fixed_point_naive_traced(nav, f, &mut stats, &gov, tracer)))
-                .collect();
-            unbreachable(fold_pairwise_traced(nav, fps, &mut stats, &gov, tracer))
-        }
-        Strategy::FixedPointReduced => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .map(|f| unbreachable(fixed_point_reduced_traced(nav, f, &mut stats, &gov, tracer)))
-                .collect();
-            unbreachable(fold_pairwise_traced(nav, fps, &mut stats, &gov, tracer))
-        }
-        Strategy::PushDown => {
-            let (anti, _rest) = query.filter.split_anti_monotonic();
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .map(|f| {
-                    tracer.scoped("push-down-operand", &mut stats, |stats| {
-                        let base = select(doc, &anti, f, stats);
-                        unbreachable(filtered_fixed_point_traced(
-                            nav, &base, &anti, stats, &gov, tracer,
-                        ))
-                    })
-                })
-                .collect();
-            let mut acc: Option<FragmentSet> = None;
-            for fp in fps {
-                acc = Some(match acc {
-                    None => fp,
-                    Some(prev) => {
-                        let joined = unbreachable(pairwise_join_traced(
-                            nav, &prev, &fp, &mut stats, &gov, tracer,
-                        ));
-                        select(doc, &anti, &joined, &mut stats)
-                    }
-                });
-            }
-            // invariant: terms (hence operands) are non-empty — checked at
-            // function entry — so the fold assigned Some at least once.
-            acc.expect("at least one operand")
-        }
-    };
-
-    // Top-level selection σ_P — for PushDown this re-checks the
-    // anti-monotonic part (already guaranteed) and applies the residual.
-    let fragments = tracer.scoped("select-top", &mut stats, |stats| {
-        let mut fragments = select(doc, &query.filter, &raw, stats);
-        if query.strict_leaf_semantics {
-            let strict =
-                FilterExpr::and(query.terms.iter().map(|t| FilterExpr::LeafTerm(t.clone())));
-            fragments = select(doc, &strict, &fragments, stats);
-        }
-        fragments
-    });
+    let x = Exec::new(Nav::new(doc, index.labels()), &gov, tracer);
+    // Fi = σ_{keyword=ki}(nodes(D)) — single-node fragments.
+    let operands = term_operands(index, query, tracer, None, &mut EvalStats::new());
+    let mut stats = EvalStats::new();
+    let mut fragments = FragmentSet::new();
+    // Conjunctive semantics: a term with no occurrences empties the answer.
+    if !operands.iter().any(FragmentSet::is_empty) {
+        let raw = strategy_raw(&x, query, strategy, &operands, &mut stats)
+            .map_err(|breach| QueryError::from_breach(breach, &operands))?;
+        fragments = select_top(&x, query, &raw, &mut stats);
+    }
     Ok(QueryResult {
         fragments,
         stats,
@@ -432,8 +386,7 @@ pub fn evaluate_budgeted_traced<I: PostingsSource + ?Sized>(
 ///    hits replay the stored compute [`EvalStats`], so cached and
 ///    uncached evaluation report identical non-cache counters.
 /// 2. **Tier (a)** — operand sets come from the postings cache; misses
-///    compute and fill. Postings construction is ungoverned, so this
-///    tier is sound under every policy.
+///    compute and fill.
 /// 3. **Tier (b)** — fixed points are memoized only when the policy has
 ///    no work limits, wall clock, or cancel token: a fixpoint hit skips
 ///    governor charges, which under a limited budget would change where
@@ -447,46 +400,42 @@ pub fn evaluate_budgeted_cached_traced<I: PostingsSource + ?Sized>(
     tracer: &Tracer<'_>,
     cache: Option<CacheRef<'_>>,
 ) -> Result<QueryResult, QueryError> {
-    evaluate_budgeted_cached_guarded_traced(
-        doc, index, query, strategy, policy, tracer, cache, None,
-    )
+    let gov = policy.governor();
+    let x = Exec::new(Nav::new(doc, index.labels()), &gov, tracer).with_cache(cache);
+    evaluate_ladder(&x, index, query, strategy, policy, false)
 }
 
-/// [`evaluate_budgeted_cached_traced`] with an optional planner *guard*
-/// budget (see [`crate::planner`]).
+/// The body of [`evaluate_budgeted_cached_traced`] over a caller-built
+/// context: `x.gov` is charged by every rung and `x.cache` is the full
+/// cache (tiers a–c), which this function gates for tier (b).
 ///
-/// The guard only replaces the [`Governor`]'s work caps; cache keys, the
-/// tier gates and the result's policy fingerprint all still come from
-/// `policy`, so a guarded run that completes is byte-identical to an
-/// unguarded one. When the guard trips, the run aborts with
+/// `guarded` marks a planner guard run (see [`crate::planner`]): `x.gov`
+/// then carries the guard's caps instead of the policy's, while cache
+/// keys, the tier gates and the result's policy fingerprint all still
+/// come from `policy`, so a guarded run that completes is byte-identical
+/// to an unguarded one. A guard trip aborts with
 /// [`QueryError::BudgetExceeded`] at the breaching charge instead of
-/// walking the degradation ladder — the planner treats that as "actuals
-/// diverged from estimates" and re-plans with the conservative strategy.
-/// Callers must only arm a guard under an unlimited, non-cancellable
-/// `policy` (the planner's arming condition), where a breach can only
-/// mean guard divergence.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_budgeted_cached_guarded_traced<I: PostingsSource + ?Sized>(
-    doc: &Document,
+/// walking the ladder — the planner treats that as "actuals diverged
+/// from estimates" and re-plans. Callers arm a guard only under an
+/// unlimited, non-cancellable `policy`, where a breach can only mean
+/// guard divergence.
+pub(crate) fn evaluate_ladder<I: PostingsSource + ?Sized>(
+    x: &Exec<'_>,
     index: &I,
     query: &Query,
     strategy: Strategy,
     policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<CacheRef<'_>>,
-    guard: Option<&crate::budget::Budget>,
+    guarded: bool,
 ) -> Result<QueryResult, QueryError> {
     if query.terms.is_empty() {
         return Err(QueryError::NoTerms);
     }
-    let nav = Nav::new(doc, index.labels());
-    let key = cache
-        .as_ref()
+    let key = x
+        .cache
         .map(|c| ResultKey::new(c.gen, c.doc, query, strategy, policy));
-    if let (Some(c), Some(key)) = (&cache, &key) {
+    if let (Some(c), Some(key)) = (x.cache, &key) {
         if let Some(entry) = c.cache.get_result(key) {
-            let gov = Governor::new(policy.budget, policy.cancel.clone())
-                .with_fault(policy.fault.clone());
+            let gov = policy.governor();
             match gov.checkpoint() {
                 Ok(()) => {
                     // Mirror the single fault point a computed run fires.
@@ -494,7 +443,7 @@ pub(crate) fn evaluate_budgeted_cached_guarded_traced<I: PostingsSource + ?Sized
                         return Err(QueryError::Cancelled);
                     }
                     let mut stats = EvalStats::new();
-                    tracer.scoped("cache:result-hit", &mut stats, |stats| {
+                    x.tracer.scoped("cache:result-hit", &mut stats, |stats| {
                         *stats += entry.stats;
                         stats.cache_hits += 1;
                     });
@@ -513,46 +462,28 @@ pub(crate) fn evaluate_budgeted_cached_guarded_traced<I: PostingsSource + ?Sized
     }
 
     let mut lookup_stats = EvalStats::new();
-    let operands: Vec<FragmentSet> = query
-        .terms
-        .iter()
-        .map(|t| {
-            tracer.scoped_lazy(
-                || format!("term-lookup:{t}"),
-                &mut lookup_stats,
-                |stats| match &cache {
-                    Some(c) => match c.cache.get_postings(c.gen, c.doc, t) {
-                        Some(set) => {
-                            stats.cache_hits += 1;
-                            set
-                        }
-                        None => {
-                            stats.cache_misses += 1;
-                            let set = term_operand(index, t, tracer, stats);
-                            c.cache.put_postings(c.gen, c.doc, t, &set);
-                            set
-                        }
-                    },
-                    None => term_operand(index, t, tracer, stats),
-                },
-            )
-        })
-        .collect();
-
-    // Tier (b) gate — see the doc comment above. Deliberately reads the
-    // caller's `policy`, not the guard: the guard must not change what
-    // gets cached or under which keys.
-    let tier_b = cache.filter(|_| !policy.budget.is_limited() && policy.cancel.is_none());
-    let mut result = evaluate_operands_budgeted_traced(
-        nav, query, strategy, &operands, policy, tracer, tier_b, guard,
+    let operands = term_operands(index, query, x.tracer, x.cache, &mut lookup_stats);
+    // Tier (b) gate — see `evaluate_budgeted_cached_traced`. Deliberately
+    // reads the caller's `policy`, not the guard: the guard must not
+    // change what gets cached or under which keys.
+    let tier_b = x
+        .cache
+        .filter(|_| !policy.budget.is_limited() && policy.cancel.is_none());
+    let mut result = run_ladder(
+        &x.with_cache(tier_b),
+        query,
+        strategy,
+        &operands,
+        policy,
+        guarded,
     )?;
     result.stats.cache_hits += lookup_stats.cache_hits;
     result.stats.cache_misses += lookup_stats.cache_misses;
-    if let (Some(c), Some(key)) = (&cache, &key) {
+    if let (Some(c), Some(key)) = (x.cache, &key) {
         result.stats.cache_misses += 1; // this evaluation did not reuse a result
                                         // Empty-operand short-circuits are not cached: recomputing them
-                                        // costs one postings lookup, and keeping them out preserves
-                                        // exact fault-injection parity (the short-circuit path fires no
+                                        // costs one postings lookup, and keeping them out preserves exact
+                                        // fault-injection parity (the short-circuit path fires no
                                         // `query:eval` fault point; the hit path does).
         if !operands.iter().any(FragmentSet::is_empty) {
             c.cache.put_result(key, &result);
@@ -561,30 +492,16 @@ pub(crate) fn evaluate_budgeted_cached_guarded_traced<I: PostingsSource + ?Sized
     Ok(result)
 }
 
-/// Traced budgeted strategy dispatch over pre-built operand sets.
-///
-/// `cache` (when present) memoizes per-term fixed points — callers are
-/// responsible for the tier (b) gate: pass `Some` only under unlimited,
-/// non-cancellable policies (see [`evaluate_budgeted_cached_traced`]).
-///
-/// `guard` (when present) replaces the governor's budget with the
-/// planner's divergence guard; a breach then aborts instead of
-/// degrading (see [`evaluate_budgeted_cached_guarded_traced`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_operands_budgeted_traced(
-    nav: Nav<'_>,
+/// The ladder's rungs over pre-built operand sets. `x.cache`, when set,
+/// memoizes per-term fixed points: callers apply the tier (b) gate.
+fn run_ladder(
+    x: &Exec<'_>,
     query: &Query,
     strategy: Strategy,
     operands: &[FragmentSet],
     policy: &ExecPolicy,
-    tracer: &Tracer<'_>,
-    cache: Option<CacheRef<'_>>,
-    guard: Option<&crate::budget::Budget>,
+    guarded: bool,
 ) -> Result<QueryResult, QueryError> {
-    if query.terms.is_empty() {
-        return Err(QueryError::NoTerms);
-    }
-    let doc = nav.doc();
     let mut stats = EvalStats::new();
 
     // Conjunctive semantics: a term with no occurrences empties the answer.
@@ -596,24 +513,19 @@ pub(crate) fn evaluate_operands_budgeted_traced(
         });
     }
 
-    let gov = Governor::new(
-        guard.copied().unwrap_or(policy.budget),
-        policy.cancel.clone(),
-    )
-    .with_fault(policy.fault.clone());
     // Fault-injection point: an armed `query:eval` site can panic, stall,
     // or cancel this evaluation before any rung runs.
-    if gov.fault_point(crate::fault::site::QUERY_EVAL).is_err() {
+    if x.gov.fault_point(crate::fault::site::QUERY_EVAL).is_err() {
         return Err(QueryError::Cancelled);
     }
     let mut trips: Vec<(Rung, Breach)> = Vec::new();
     let mut truncated_fragments = 0u64;
 
     // Rung 0: the requested strategy, governed.
-    let attempt = tracer.scoped_lazy(
+    let attempt = x.tracer.scoped_lazy(
         || format!("rung:{}", Rung::Full.name()),
         &mut stats,
-        |stats| strategy_raw_traced(nav, query, strategy, operands, stats, &gov, tracer, cache),
+        |stats| strategy_raw(x, query, strategy, operands, stats),
     );
     let mut raw = match attempt {
         Ok(raw) => Some(raw),
@@ -621,7 +533,7 @@ pub(crate) fn evaluate_operands_budgeted_traced(
         // limit: surface it at this checkpoint so the planner can re-plan
         // under the caller's real (unlimited) policy — the ladder's
         // partial answers are never acceptable substitutes here.
-        Err(breach) if guard.is_some() => {
+        Err(breach) if guarded => {
             return Err(QueryError::BudgetExceeded(breach));
         }
         Err(breach) => {
@@ -632,26 +544,26 @@ pub(crate) fn evaluate_operands_budgeted_traced(
 
     // Rung 1: fixed points over the reduced operand sets ⊖(Fi).
     if raw.is_none() {
-        let attempt = tracer.scoped_lazy(
+        let attempt = x.tracer.scoped_lazy(
             || format!("rung:{}", Rung::ReducedSets.name()),
             &mut stats,
             |stats| {
                 let fps: Vec<FragmentSet> = operands
                     .iter()
                     .map(|f| {
-                        let reduced = reduce_traced(nav, f, stats, &gov, tracer)?;
+                        let reduced = x.reduce(f, stats)?;
                         // An unbounded governor (reachable here via a
                         // PowersetLimit trip with no budget set) cannot stop
                         // a closure blow-up, and Theorem 2 says |F⁺| can
                         // reach the powerset size — so apply the literal
                         // enumeration's own guard.
-                        if !gov.is_work_bounded() && reduced.len() > crate::join::POWERSET_LIMIT {
+                        if !x.gov.is_work_bounded() && reduced.len() > crate::join::POWERSET_LIMIT {
                             return Err(Breach::PowersetLimit);
                         }
-                        fixed_point_naive_traced(nav, &reduced, stats, &gov, tracer)
+                        x.fixed_point(&reduced, FixpointMode::Naive, None, stats)
                     })
                     .collect::<Result<_, Breach>>()?;
-                fold_pairwise_traced(nav, fps, stats, &gov, tracer)
+                x.join_fold(fps, stats)
             },
         );
         match attempt {
@@ -662,7 +574,7 @@ pub(crate) fn evaluate_operands_budgeted_traced(
 
     // Rung 2: truncate operands, single pairwise fold, no fixed points.
     if raw.is_none() {
-        let attempt = tracer.scoped_lazy(
+        let attempt = x.tracer.scoped_lazy(
             || format!("rung:{}", Rung::TopCandidates.name()),
             &mut stats,
             |stats| {
@@ -675,7 +587,7 @@ pub(crate) fn evaluate_operands_budgeted_traced(
                         FragmentSet::from_iter(keep)
                     })
                     .collect();
-                fold_pairwise_traced(nav, tops, stats, &gov, tracer).map(|r| (r, truncated))
+                x.join_fold(tops, stats).map(|r| (r, truncated))
             },
         );
         match attempt {
@@ -690,10 +602,10 @@ pub(crate) fn evaluate_operands_budgeted_traced(
     // Rung 3: SLCA approximation — ungoverned, always answers.
     let raw = match raw {
         Some(r) => r,
-        None => tracer.scoped_lazy(
+        None => x.tracer.scoped_lazy(
             || format!("rung:{}", Rung::SlcaApprox.name()),
             &mut stats,
-            |stats| slca_approximation(nav, operands, stats),
+            |stats| slca_approximation(x.nav, operands, stats),
         ),
     };
     // Each trip abandoned one rung; the answer came from the next one.
@@ -702,31 +614,22 @@ pub(crate) fn evaluate_operands_budgeted_traced(
         n => Some(Rung::ALL[n.min(Rung::ALL.len() - 1)]),
     };
 
-    // Shared tail: top-level selection σ_P plus strict leaf semantics.
-    let fragments = tracer.scoped("select-top", &mut stats, |stats| {
-        let mut fragments = select(doc, &query.filter, &raw, stats);
-        if query.strict_leaf_semantics {
-            let strict =
-                FilterExpr::and(query.terms.iter().map(|t| FilterExpr::LeafTerm(t.clone())));
-            fragments = select(doc, &strict, &fragments, stats);
-        }
-        fragments
-    });
+    let fragments = select_top(x, query, &raw, &mut stats);
 
     // `+=`, not `=`: fixpoint-cache hits replay the checkpoints their
-    // original computation passed (see `fixed_point_memo_traced`), and
-    // those replays land in `stats` before this line.
-    stats.budget_checkpoints += gov.checkpoints_passed();
+    // original computation passed (see `Exec::fixed_point`), and those
+    // replays land in `stats` before this line.
+    stats.budget_checkpoints += x.gov.checkpoints_passed();
     let degradation = match rung {
         None => Degradation::none(),
         Some(rung) => Degradation {
             rung: Some(rung),
             trips,
             truncated_fragments,
-            joins_spent: gov.joins_spent(),
-            fragments_spent: gov.fragments_spent(),
-            nodes_spent: gov.nodes_spent(),
-            elapsed: gov.elapsed(),
+            joins_spent: x.gov.joins_spent(),
+            fragments_spent: x.gov.fragments_spent(),
+            nodes_spent: x.gov.nodes_spent(),
+            elapsed: x.gov.elapsed(),
         },
     };
     Ok(QueryResult {
@@ -744,197 +647,88 @@ fn handle_breach(
     policy: &ExecPolicy,
     trips: &mut Vec<(Rung, Breach)>,
 ) -> Result<(), QueryError> {
-    if breach == Breach::Cancelled {
-        return Err(QueryError::Cancelled);
-    }
-    if policy.degrade == DegradeMode::Off {
-        return Err(QueryError::BudgetExceeded(breach));
+    if breach == Breach::Cancelled || policy.degrade == DegradeMode::Off {
+        return Err(breach.into());
     }
     trips.push((rung, breach));
     Ok(())
 }
 
-/// The governed equivalent of the strategy dispatch in
-/// [`evaluate_operands`]: compute the raw (pre-selection) set for the
-/// requested strategy, charging `gov` and recording spans throughout.
-#[allow(clippy::too_many_arguments)]
-fn strategy_raw_traced(
-    nav: Nav<'_>,
+/// The one strategy dispatch: compute the raw (pre-selection) set for
+/// the requested strategy, charging `x.gov` and recording spans
+/// throughout. [`evaluate_traced`] calls it directly; the ladder runs it
+/// as its `full` rung.
+fn strategy_raw(
+    x: &Exec<'_>,
     query: &Query,
     strategy: Strategy,
     operands: &[FragmentSet],
     stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-    cache: Option<CacheRef<'_>>,
 ) -> Result<FragmentSet, Breach> {
-    let doc = nav.doc();
-    match strategy {
-        Strategy::BruteForce => tracer.scoped("brute-force", stats, |stats| {
-            brute_force_governed(nav, operands, stats, gov)
-        }),
-        Strategy::FixedPointNaive => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .zip(&query.terms)
-                .map(|(f, t)| {
-                    fixed_point_memo_traced(
-                        nav,
-                        f,
-                        t,
-                        FixpointMode::Naive,
-                        stats,
-                        gov,
-                        tracer,
-                        cache,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            fold_pairwise_traced(nav, fps, stats, gov, tracer)
-        }
-        Strategy::FixedPointReduced => {
-            let fps: Vec<FragmentSet> = operands
-                .iter()
-                .zip(&query.terms)
-                .map(|(f, t)| {
-                    fixed_point_memo_traced(
-                        nav,
-                        f,
-                        t,
-                        FixpointMode::Reduced,
-                        stats,
-                        gov,
-                        tracer,
-                        cache,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            fold_pairwise_traced(nav, fps, stats, gov, tracer)
-        }
-        Strategy::PushDown => {
-            let (anti, _rest) = query.filter.split_anti_monotonic();
-            let mut acc: Option<FragmentSet> = None;
-            for f in operands {
-                gov.checkpoint()?;
-                let fp = tracer.scoped("push-down-operand", stats, |stats| {
-                    let base = select(doc, &anti, f, stats);
-                    filtered_fixed_point_traced(nav, &base, &anti, stats, gov, tracer)
-                })?;
-                acc = Some(match acc {
-                    None => fp,
-                    Some(prev) => {
-                        let joined = pairwise_join_traced(nav, &prev, &fp, stats, gov, tracer)?;
-                        select(doc, &anti, &joined, stats)
-                    }
-                });
-            }
-            // invariant: operands are non-empty (term-less queries are
-            // rejected before dispatch), so the loop assigned Some.
-            Ok(acc.expect("at least one operand"))
-        }
-    }
+    let mode = match strategy {
+        Strategy::BruteForce => return x.brute_force(operands, stats),
+        Strategy::FixedPointNaive => FixpointMode::Naive,
+        Strategy::FixedPointReduced => FixpointMode::Reduced,
+        Strategy::PushDown => return push_down(x, query, operands, stats),
+    };
+    let fps: Vec<FragmentSet> = operands
+        .iter()
+        .zip(&query.terms)
+        .map(|(f, t)| x.fixed_point(f, mode, Some(t), stats))
+        .collect::<Result<_, _>>()?;
+    x.join_fold(fps, stats)
 }
 
-/// Governed §4.1 brute force. An over-large operand reports
-/// [`Breach::PowersetLimit`] instead of erroring, so the ladder can step
-/// down to a plan that handles large operand sets.
-fn brute_force_governed(
-    nav: Nav<'_>,
+/// §4.3 push-down (Theorem 3): each operand closes under the filtered
+/// fixed point of the filter's anti-monotonic part, and the running
+/// join is re-filtered after every step — one `push-down-operand` span
+/// and one `pairwise-join` span per operand, interleaved.
+fn push_down(
+    x: &Exec<'_>,
+    query: &Query,
     operands: &[FragmentSet],
     stats: &mut EvalStats,
-    gov: &Governor,
 ) -> Result<FragmentSet, Breach> {
-    for s in operands {
-        if s.len() > crate::join::POWERSET_LIMIT {
-            return Err(Breach::PowersetLimit);
-        }
-    }
-    let slices: Vec<Vec<&crate::fragment::Fragment>> =
-        operands.iter().map(|s| s.iter().collect()).collect();
-    let mut out = FragmentSet::new();
-    let mut masks: Vec<u32> = vec![1; slices.len()];
-    loop {
-        let chosen = slices.iter().zip(&masks).flat_map(|(fs, &m)| {
-            fs.iter()
-                .enumerate()
-                .filter(move |(i, _)| m & (1 << i) != 0)
-                .map(|(_, f)| *f)
+    let (anti, _rest) = query.filter.split_anti_monotonic();
+    let mut acc: Option<FragmentSet> = None;
+    for f in operands {
+        x.gov.checkpoint()?;
+        let fp = x.tracer.scoped("push-down-operand", stats, |stats| {
+            x.filtered_fixed_point(f, &anti, stats)
+        })?;
+        acc = Some(match acc {
+            None => fp,
+            Some(prev) => {
+                let joined = x.tracer.scoped("pairwise-join", stats, |stats| {
+                    x.pairwise_join(&prev, &fp, stats)
+                })?;
+                select(x.doc(), &anti, &joined, stats)
+            }
         });
-        // invariant: every odometer mask is at least 1, so at least one
-        // fragment is always chosen.
-        let joined = fragment_join_many(nav, chosen, stats).expect("non-empty choice");
-        gov.charge_join(joined.size() as u64)?;
-        gov.charge_fragments(1)?;
-        stats.fragments_emitted += 1;
-        if !out.insert(joined) {
-            stats.duplicates_collapsed += 1;
-        }
-        let mut i = 0;
-        loop {
-            if i == masks.len() {
-                return Ok(out);
-            }
-            masks[i] += 1;
-            if masks[i] < (1u32 << slices[i].len()) {
-                break;
-            }
-            masks[i] = 1;
-            i += 1;
-        }
     }
+    // invariant: operands are non-empty (term-less queries are rejected
+    // before dispatch), so the loop assigned Some.
+    Ok(acc.expect("at least one operand"))
 }
 
-/// Governed left-to-right pairwise fold of operand fixed points, recorded
-/// as one `join-fold` span with a `pairwise-join` child per step.
-fn fold_pairwise_traced(
-    nav: Nav<'_>,
-    fps: Vec<FragmentSet>,
+/// The shared tail: the top-level selection `σ_P` (for push-down this
+/// re-checks the anti-monotonic part, already guaranteed, and applies
+/// the residual), plus Definition 8's strict leaf filter when asked —
+/// one `select-top` span.
+fn select_top(
+    x: &Exec<'_>,
+    query: &Query,
+    raw: &FragmentSet,
     stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    tracer.scoped("join-fold", stats, |stats| {
-        let mut it = fps.into_iter();
-        // invariant: callers pass one set per query term and reject
-        // term-less queries before reaching this fold.
-        let mut acc = it.next().expect("at least one operand");
-        for fp in it {
-            gov.checkpoint()?;
-            acc = pairwise_join_traced(nav, &acc, &fp, stats, gov, tracer)?;
+) -> FragmentSet {
+    x.tracer.scoped("select-top", stats, |stats| {
+        let mut fragments = select(x.doc(), &query.filter, raw, stats);
+        if query.strict_leaf_semantics {
+            let strict =
+                FilterExpr::and(query.terms.iter().map(|t| FilterExpr::LeafTerm(t.clone())));
+            fragments = select(x.doc(), &strict, &fragments, stats);
         }
-        Ok(acc)
-    })
-}
-
-/// Governed and traced variant of the §3.3 filtered fixed point used by
-/// push-down: a `filtered-fixpoint` span with one `round` child per
-/// iteration.
-fn filtered_fixed_point_traced(
-    nav: Nav<'_>,
-    f: &FragmentSet,
-    anti: &FilterExpr,
-    stats: &mut EvalStats,
-    gov: &Governor,
-    tracer: &Tracer<'_>,
-) -> Result<FragmentSet, Breach> {
-    tracer.scoped("filtered-fixpoint", stats, |stats| {
-        if f.is_empty() {
-            return Ok(FragmentSet::new());
-        }
-        let mut h = f.clone();
-        loop {
-            gov.checkpoint()?;
-            let next = tracer.scoped("round", stats, |stats| -> Result<FragmentSet, Breach> {
-                stats.fixpoint_iterations += 1;
-                let joined = pairwise_join_governed(nav, &h, f, stats, gov)?;
-                Ok(select(nav.doc(), anti, &joined, stats).union(&h))
-            })?;
-            stats.fixpoint_checks += 1;
-            if next.len() == h.len() {
-                return Ok(h);
-            }
-            h = next;
-        }
+        fragments
     })
 }
 
@@ -1005,53 +799,6 @@ fn slca_approximation(
     out
 }
 
-/// §4.1 brute force: enumerate every choice of non-empty subsets, one per
-/// operand, and join each union.
-fn brute_force(
-    nav: Nav<'_>,
-    operands: &[FragmentSet],
-    stats: &mut EvalStats,
-) -> Result<FragmentSet, PowersetTooLarge> {
-    for s in operands {
-        if s.len() > crate::join::POWERSET_LIMIT {
-            return Err(PowersetTooLarge { len: s.len() });
-        }
-    }
-    let slices: Vec<Vec<&crate::fragment::Fragment>> =
-        operands.iter().map(|s| s.iter().collect()).collect();
-    let mut out = FragmentSet::new();
-    // Odometer over non-empty subset masks of each operand.
-    let mut masks: Vec<u32> = vec![1; slices.len()];
-    loop {
-        let chosen = slices.iter().zip(&masks).flat_map(|(fs, &m)| {
-            fs.iter()
-                .enumerate()
-                .filter(move |(i, _)| m & (1 << i) != 0)
-                .map(|(_, f)| *f)
-        });
-        // invariant: every odometer mask is at least 1, so at least one
-        // fragment is always chosen.
-        let joined = fragment_join_many(nav, chosen, stats).expect("non-empty choice");
-        stats.fragments_emitted += 1;
-        if !out.insert(joined) {
-            stats.duplicates_collapsed += 1;
-        }
-        // Advance the odometer.
-        let mut i = 0;
-        loop {
-            if i == masks.len() {
-                return Ok(out);
-            }
-            masks[i] += 1;
-            if masks[i] < (1u32 << slices[i].len()) {
-                break;
-            }
-            masks[i] = 1;
-            i += 1;
-        }
-    }
-}
-
 /// Hybrid structural + keyword evaluation — the integration the paper's
 /// §6 attributes to Florescu et al. and Al-Khalifa et al.: a structural
 /// path expression *scopes* the keyword query, and the algebra runs
@@ -1069,7 +816,6 @@ pub fn evaluate_scoped<I: PostingsSource + ?Sized>(
     strategy: Strategy,
 ) -> Result<Vec<(xfrag_doc::NodeId, QueryResult)>, ScopedQueryError> {
     let scopes = xfrag_doc::select_path(doc, scope_path).map_err(ScopedQueryError::Path)?;
-    let nav = Nav::new(doc, index.labels());
     let mut out = Vec::new();
     for scope in scopes {
         // Restrict each operand's postings to the scope subtree; pre-order
@@ -1081,8 +827,7 @@ pub fn evaluate_scoped<I: PostingsSource + ?Sized>(
             lo,
             hi,
         };
-        let r = evaluate_with_lookup(nav, &scoped_index, query, strategy)
-            .map_err(ScopedQueryError::Query)?;
+        let r = evaluate(doc, &scoped_index, query, strategy).map_err(ScopedQueryError::Query)?;
         if !r.fragments.is_empty() {
             out.push((scope, r));
         }
@@ -1110,47 +855,29 @@ impl std::fmt::Display for ScopedQueryError {
 
 impl std::error::Error for ScopedQueryError {}
 
-/// Posting lookup abstraction so scoped evaluation can reuse the engine.
-trait TermLookup {
-    fn postings(&self, term: &str) -> Vec<xfrag_doc::NodeId>;
-}
-
+/// A postings source restricted to the node-id range `lo..hi` of one
+/// scope subtree; structural labels pass through.
 struct ScopedIndex<'a, I: ?Sized> {
     inner: &'a I,
     lo: u32,
     hi: u32,
 }
 
-impl<I: PostingsSource + ?Sized> TermLookup for ScopedIndex<'_, I> {
-    fn postings(&self, term: &str) -> Vec<xfrag_doc::NodeId> {
-        self.inner
-            .postings(term)
-            .iter()
-            .copied()
-            .filter(|n| n.0 >= self.lo && n.0 < self.hi)
-            .collect()
+impl<I: PostingsSource + ?Sized> PostingsSource for ScopedIndex<'_, I> {
+    fn postings(&self, term: &str) -> Postings<'_> {
+        Postings::Shared(
+            self.inner
+                .postings(term)
+                .iter()
+                .copied()
+                .filter(|n| n.0 >= self.lo && n.0 < self.hi)
+                .collect(),
+        )
     }
-}
 
-fn evaluate_with_lookup(
-    nav: Nav<'_>,
-    lookup: &dyn TermLookup,
-    query: &Query,
-    strategy: Strategy,
-) -> Result<QueryResult, QueryError> {
-    // Materialize the scoped postings into operand sets and reuse the
-    // strategy machinery via the private operand-level entry point —
-    // no need to rebuild a document-backed index per scope.
-    crate::query::evaluate_operands(
-        nav,
-        query,
-        strategy,
-        &query
-            .terms
-            .iter()
-            .map(|t| crate::set::FragmentSet::of_nodes(lookup.postings(t)))
-            .collect::<Vec<_>>(),
-    )
+    fn labels(&self) -> Option<&StructLabels> {
+        self.inner.labels()
+    }
 }
 
 /// Convenience wrapper: the §4.2-style diagnostic of how much each operand

@@ -7,7 +7,7 @@
 //! totals down per **stage**. Every evaluation stage — term lookup,
 //! fixed-point rounds, pairwise/powerset joins, reduce, filter push-down,
 //! the degradation-ladder rungs of [`crate::evaluate_budgeted`], logical
-//! plan operators, parallel join workers, and per-document collection
+//! plan operators, and per-document collection
 //! evaluation — opens a [`Span`] that records its wall-clock time and the
 //! [`crate::EvalStats`] delta it produced, nested to mirror the call tree.
 //!
@@ -55,8 +55,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// A childless span built from already-measured values — used by
-    /// parallel workers, which record locally and attach afterwards.
+    /// A childless span built from already-measured values, for stages
+    /// timed outside a [`Tracer::scoped`] call.
     pub fn leaf(stage: impl Into<String>, wall: Duration, stats_delta: EvalStats) -> Span {
         Span {
             stage: stage.into(),
@@ -154,8 +154,9 @@ static NOOP: NoopSink = NoopSink;
 /// A tracer owns a stack of open frames; [`Tracer::scoped`] pushes a
 /// frame, runs the stage, and on return folds the finished [`Span`] into
 /// the parent frame — or hands it to the sink when it is top-level.
-/// Single-threaded by design (parallel workers record their own leaf
-/// spans and [`Tracer::attach`] them from the coordinating thread).
+/// Single-threaded by design: work measured elsewhere (another thread,
+/// a queue) becomes a leaf span that [`Tracer::attach`] adds from the
+/// tracer's own thread.
 pub struct Tracer<'a> {
     sink: &'a dyn TraceSink,
     enabled: bool,
@@ -236,8 +237,9 @@ impl<'a> Tracer<'a> {
         self.scoped(&label, stats, f)
     }
 
-    /// Attach an already-built span (e.g. from a parallel worker) as a
-    /// child of the currently open stage, or as a top-level span.
+    /// Attach an already-built span (e.g. a serve worker's hedge
+    /// dispatch) as a child of the currently open stage, or as a
+    /// top-level span.
     pub fn attach(&self, span: Span) {
         if !self.enabled {
             return;

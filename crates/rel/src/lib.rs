@@ -29,19 +29,15 @@ pub mod edge;
 pub mod encode;
 pub mod eval;
 pub mod index;
-pub mod plan;
 pub mod predicate;
 pub mod relation;
 pub mod schema;
-pub mod sql;
 pub mod value;
 
 pub use database::Database;
 pub use encode::encode_document;
 pub use eval::evaluate_relational;
-pub use plan::{optimize as optimize_rel_plan, RelPlan, RelStats};
 pub use predicate::Predicate;
 pub use relation::Relation;
 pub use schema::{ColType, Column, Schema};
-pub use sql::compile as compile_sql;
 pub use value::Value;

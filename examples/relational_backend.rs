@@ -40,17 +40,4 @@ fn main() {
     println!("relational answers: {relational:?}");
     assert_eq!(relational, native.fragments, "the two engines must agree");
     println!("\n✓ native and relational engines agree on every fragment.");
-
-    // And because the backing store is relational, plain SQL works too:
-    use xfrag::rel::{compile_sql, RelStats};
-    let plan =
-        compile_sql("SELECT node FROM keyword WHERE term = 'relational' ORDER BY node").unwrap();
-    println!("\nSQL plan:\n{}", plan.render());
-    let mut st = RelStats::default();
-    let rows = plan.execute(&db, &mut st);
-    println!("postings for 'relational': {rows}");
-    println!(
-        "(index probes: {}, rows scanned: {})",
-        st.index_probes, st.rows_scanned
-    );
 }
