@@ -7,13 +7,15 @@
 //! Usage:
 //!
 //! ```text
-//! bench_json [--smoke] [--out PATH] [--out6 PATH] [--out7 PATH] [--out8 PATH]
-//!            [--out9 PATH]
+//! bench_json [--smoke] [--out-dir DIR]
 //! ```
 //!
-//! `--smoke` shrinks the workload for CI (seconds, not minutes) and
-//! skips the p50 regression gate, which is noise-prone at smoke sizes;
-//! the full run *fails* unless warm p50 is strictly below cold p50.
+//! Every scenario below writes its own `BENCH_<n>.json` into
+//! `--out-dir` (default: the current directory); the run exits 1 if
+//! any scenario's gate failed. `--smoke` shrinks the workload for CI
+//! (seconds, not minutes) and skips the p50 regression gate, which is
+//! noise-prone at smoke sizes; the full run *fails* unless warm p50 is
+//! strictly below cold p50.
 //! Everything is seeded: the same invocation produces the same request
 //! stream, so latency differences come from the cache, not the workload.
 //!
@@ -62,30 +64,33 @@
 //! strategy picker: a mixed query workload (term subsets × filters,
 //! Zipf-skewed) evaluated off a v2 `.xidx` segment — so plans come
 //! from persisted statistics — once with `auto` and once per forced
-//! strategy, emitting `BENCH_10.json` with every arm's p50/p95 plus
-//! the auto pick distribution. The gates run in both modes because the
-//! margins are structural, not noise-scale: auto's p50 must land
-//! within 10% of the best forced strategy's (auto mostly *is* that
-//! strategy, plus a segment-stats plan lookup), and the worst forced
-//! strategy — brute-force powerset enumeration on multi-term operands
-//! — must be at least 2× slower than auto.
+//! strategy, emitting `BENCH_10.json` with every arm's p50/p95, the
+//! auto pick distribution and the cost of a fresh plan. The arms are
+//! interleaved request by request over several rounds, and auto looks
+//! its plans up in a plan cache as a serve replica does. The gates run
+//! in both modes and compare medians of per-request ratios: auto must
+//! land within 10% of the best forced strategy (auto mostly *is* that
+//! strategy, plus a plan-cache lookup), and the worst forced strategy
+//! — brute-force powerset enumeration on multi-term operands — must be
+//! at least 2× slower than auto.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use xfrag_bench::fixtures::{query_fixture, QueryFixture};
 use xfrag_core::{
     evaluate, evaluate_budgeted_cached_traced, evaluate_collection_planned_cached_traced_routed,
-    evaluate_planned_cached_traced, flight_key, Budget, CacheRef, CostModel, DocAnswers,
-    ExecPolicy, FilterExpr, Flight, GenerationTag, Query, QueryCache, Singleflight, Strategy,
-    StrategyChoice, Tracer,
+    flight_key, plan_query, Budget, CacheRef, CacheStats, CostModel, DocAnswers, EvalStats,
+    ExecPolicy, FilterExpr, Flight, GenerationTag, PlanCache, Query, QueryCache, Singleflight,
+    Strategy, StrategyChoice, Tracer,
 };
 use xfrag_corpus::zipf::Zipf;
-use xfrag_doc::{encode_segment, store, Collection, DocId, InvertedIndex, SegmentIndex};
+use xfrag_doc::{encode_segment, manifest, store, Collection, DocId, InvertedIndex, SegmentIndex};
 
 const SEED: u64 = 42;
 const ZIPF_S: f64 = 1.1;
@@ -225,7 +230,8 @@ fn delta_pass(
 /// fits in the cache: the gate reasons counter-exactly about carry-over,
 /// which LRU evictions (the BENCH_5 full workload overflows 64 MB by
 /// design) would turn into noise.
-fn delta_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
+fn delta_scenario(smoke: bool) -> (String, bool) {
+    let pool = &build_pool();
     let requests = if smoke { 72usize } else { 240usize };
     let fx = query_fixture(400, 5, 5, SEED);
     let zipf = Zipf::new(pool.len(), ZIPF_S);
@@ -438,16 +444,11 @@ fn cold_index_scenario(smoke: bool) -> (String, bool) {
     (json, ok)
 }
 
-/// FNV-1a over a document's display name — the same routing function as
-/// `xfrag serve --shards N`, duplicated here so the bench partitions the
-/// collection exactly like the serve path does.
+/// FNV-1a over a document's display name (the manifest checksum) — the
+/// same routing function as `xfrag serve --shards N`, so the bench
+/// partitions the collection exactly like the serve path does.
 fn route(name: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards as u64) as usize
+    (manifest::checksum(name.as_bytes()) % shards as u64) as usize
 }
 
 /// The scatter-gather scenario: returns the BENCH_8 JSON and whether the
@@ -470,10 +471,11 @@ fn route(name: &str, shards: usize) -> usize {
 /// parallelism to spend, so on narrower machines the widths are
 /// reported (with the core count) and the gate is answer-identity
 /// plus coalescing only.
-fn scatter_scenario(pool: &[PoolEntry], smoke: bool) -> (String, bool) {
+fn scatter_scenario(smoke: bool) -> (String, bool) {
     const SCATTER_DOCS: usize = 12;
     const WIDTHS: [usize; 4] = [1, 2, 4, 8];
     const CLIENTS: usize = 32;
+    let pool = &build_pool();
     let (nodes, requests) = if smoke {
         (300usize, 24usize)
     } else {
@@ -816,11 +818,18 @@ fn hedged_tail_scenario(smoke: bool) -> (String, bool) {
 /// (no query cache), and the policy carries a (never-breached) budget
 /// exactly like a serve request, so guards stay disarmed and the
 /// comparison is pure strategy choice.
+///
+/// The arms are interleaved request by request over `rounds` passes of
+/// the stream (in a seeded random order per request), so scheduler and
+/// frequency drift land on every arm alike, and the gates compare the
+/// medians of per-request ratios between arms. `auto` looks its
+/// decision up in a [`PlanCache`], as a serve replica does; what a
+/// fresh plan costs is reported on its own as `plan_us_p50`.
 fn planner_scenario(smoke: bool) -> (String, bool) {
-    let (nodes, df, requests) = if smoke {
-        (500usize, 7usize, 48usize)
+    let (nodes, df, requests, rounds) = if smoke {
+        (500usize, 7usize, 48usize, 3usize)
     } else {
-        (2_000usize, 9usize, 160usize)
+        (2_000usize, 9usize, 160usize, 5usize)
     };
     let fx = query_fixture(nodes, df, df, SEED);
     let seg = SegmentIndex::from_bytes(&encode_segment(&fx.doc)).expect("segment roundtrip");
@@ -847,72 +856,115 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
     // safety net, not part of the serving-path comparison.
     let policy = ExecPolicy::with_budget(Budget::unlimited().with_max_joins(1 << 40));
     let model = CostModel::default();
-    // One pass over the stream; returns latencies plus the pick
-    // distribution in Strategy::ALL order and the re-plan count.
-    let run = |choice: StrategyChoice| -> (Vec<Duration>, [u64; 4], u64) {
-        let mut lat = Vec::with_capacity(stream.len());
-        let mut picks = [0u64; 4];
-        let mut replans = 0u64;
-        for &i in &stream {
-            let t0 = Instant::now();
-            let (r, decision) = evaluate_planned_cached_traced(
-                &fx.doc,
-                &seg,
-                &pool[i],
-                choice,
-                &policy,
-                &Tracer::disabled(),
-                None,
-                &model,
-            )
-            .expect("unlimited planner workload cannot fail");
-            lat.push(t0.elapsed());
-            let at = Strategy::ALL
-                .iter()
-                .position(|&s| s == decision.effective)
-                .expect("Strategy::ALL is exhaustive");
-            picks[at] += 1;
-            replans += u64::from(decision.replanned);
-            std::hint::black_box(r.fragments.len());
-        }
-        (lat, picks, replans)
+    let gen = GenerationTag::fresh();
+    let plans = PlanCache::new(gen);
+    // Arm 0 is auto, which plans through the cache; arm 1 + k forces
+    // `Strategy::ALL[k]`. Returns the strategy that ran.
+    let run = |arm: usize, q: &Query| -> Strategy {
+        let strategy = match arm {
+            0 => plans.get_or_plan(gen, 0, &fx.doc, &seg, q, &model).picked,
+            _ => Strategy::ALL[arm - 1],
+        };
+        let r = evaluate_budgeted_cached_traced(
+            &fx.doc,
+            &seg,
+            q,
+            strategy,
+            &policy,
+            &Tracer::disabled(),
+            None,
+        )
+        .expect("unlimited planner workload cannot fail");
+        std::hint::black_box(r.fragments.len());
+        strategy
     };
 
-    let (auto_lat, auto_picks, auto_replans) = run(StrategyChoice::Auto);
-    let forced: Vec<(Strategy, Vec<Duration>)> = Strategy::ALL
-        .iter()
-        .map(|&s| (s, run(StrategyChoice::Forced(s)).0))
-        .collect();
-
-    let auto_p50 = percentile_us(&auto_lat, 50.0);
-    let (mut best, mut worst) = (&forced[0], &forced[0]);
-    for arm in &forced {
-        if percentile_us(&arm.1, 50.0) < percentile_us(&best.1, 50.0) {
-            best = arm;
+    let arms = 1 + Strategy::ALL.len();
+    let mut lat: Vec<Vec<Duration>> = vec![Vec::with_capacity(rounds * stream.len()); arms];
+    // Auto's pick distribution over one pass, in Strategy::ALL order.
+    let mut picks = [0u64; 4];
+    let mut plan_lat = Vec::with_capacity(rounds * pool.len());
+    let mut order: Vec<usize> = (0..arms).collect();
+    for round in 0..rounds {
+        for &i in &stream {
+            let q = &pool[i];
+            // A fresh seeded order per request, so no arm always follows
+            // the same neighbour (a fixed rotation put auto right after
+            // push-down on the same query, every time).
+            for j in (1..arms).rev() {
+                order.swap(j, rng.random_range(0..=j));
+            }
+            for &arm in &order {
+                // An untimed pass first, so each arm is timed on the CPU
+                // cache state its own evaluation leaves.
+                run(arm, q);
+                let t0 = Instant::now();
+                let ran = run(arm, q);
+                lat[arm].push(t0.elapsed());
+                if arm == 0 && round == 0 {
+                    let at = Strategy::ALL.iter().position(|&s| s == ran);
+                    picks[at.expect("Strategy::ALL is exhaustive")] += 1;
+                }
+            }
         }
-        if percentile_us(&arm.1, 50.0) > percentile_us(&worst.1, 50.0) {
-            worst = arm;
+        // The planning the cache saves auto, timed on its own.
+        for q in &pool {
+            let t0 = Instant::now();
+            std::hint::black_box(plan_query(&fx.doc, &seg, q, &model, &mut EvalStats::new()));
+            plan_lat.push(t0.elapsed());
         }
     }
-    let best_p50 = percentile_us(&best.1, 50.0);
-    let worst_p50 = percentile_us(&worst.1, 50.0);
-    let ok = auto_p50 <= best_p50 * 1.10 && worst_p50 >= auto_p50 * 2.0;
+
+    // Sample i of every arm is the same request, evaluated moments
+    // apart, so the gates compare medians of per-request ratios. (The pooled
+    // p50s are reported too, but the Zipf head query is about half the
+    // stream, so the pooled p50 sits where cheap and expensive queries
+    // meet and a few samples swing it.)
+    let ratio = |num: &[Duration], den: &[Duration]| -> f64 {
+        let mut r: Vec<f64> = num
+            .iter()
+            .zip(den)
+            .map(|(a, b)| a.as_secs_f64() / b.as_secs_f64().max(1e-9))
+            .collect();
+        r.sort_by(f64::total_cmp);
+        r[r.len() / 2]
+    };
+    let auto_lat = &lat[0];
+    // (strategy, latencies, median per-request time relative to auto).
+    let forced: Vec<(Strategy, &Vec<Duration>, f64)> = Strategy::ALL
+        .iter()
+        .zip(&lat[1..])
+        .map(|(&s, l)| (s, l, ratio(l, auto_lat)))
+        .collect();
+    let best = forced
+        .iter()
+        .min_by(|a, b| a.2.total_cmp(&b.2))
+        .expect("4 arms");
+    let worst = forced
+        .iter()
+        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .expect("4 arms");
+    let auto_vs_best = ratio(auto_lat, best.1);
+    let worst_vs_auto = worst.2;
+    let ok = auto_vs_best <= 1.10 && worst_vs_auto >= 2.0;
+    let (plan_hits, plan_misses, _) = plans.counters();
 
     let forced_json = forced
         .iter()
-        .map(|(s, lat)| {
+        .map(|(s, lat, vs_auto)| {
             format!(
-                "    \"{}\": {{\"p50_us\": {:.2}, \"p95_us\": {:.2}}}",
+                "    \"{}\": {{\"p50_us\": {:.2}, \"p95_us\": {:.2}, \"vs_auto\": {:.3}}}",
                 s.name(),
                 percentile_us(lat, 50.0),
-                percentile_us(lat, 95.0)
+                percentile_us(lat, 95.0),
+                vs_auto
             )
         })
         .collect::<Vec<_>>()
         .join(",\n");
     let picks_json = Strategy::ALL
         .iter()
-        .zip(auto_picks)
+        .zip(picks)
         .map(|(s, n)| format!("\"{}\": {n}", s.name()))
         .collect::<Vec<_>>()
         .join(", ");
@@ -926,14 +978,17 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
             "  \"doc_nodes\": {doc_nodes},\n",
             "  \"df\": {df},\n",
             "  \"requests\": {requests},\n",
+            "  \"rounds\": {rounds},\n",
             "  \"pool_size\": {pool_size},\n",
             "  \"auto\": {{\"p50_us\": {ap50:.2}, \"p95_us\": {ap95:.2}, ",
-            "\"replans\": {replans}, \"picks\": {{{picks}}}}},\n",
+            "\"picks\": {{{picks}}}}},\n",
+            "  \"plan_us_p50\": {plan_p50:.2},\n",
+            "  \"plan_cache\": {{\"hits\": {plan_hits}, \"misses\": {plan_misses}}},\n",
             "  \"forced\": {{\n{forced}\n  }},\n",
             "  \"best_forced\": \"{best}\",\n",
             "  \"worst_forced\": \"{worst}\",\n",
-            "  \"auto_vs_best_p50\": {avb:.3},\n",
-            "  \"worst_vs_auto_p50\": {wva:.2}\n",
+            "  \"auto_vs_best_median\": {avb:.3},\n",
+            "  \"worst_vs_auto_median\": {wva:.2}\n",
             "}}\n"
         ),
         mode = if smoke { "smoke" } else { "full" },
@@ -942,22 +997,25 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
         doc_nodes = fx.doc.len(),
         df = df,
         requests = stream.len(),
+        rounds = rounds,
         pool_size = pool.len(),
-        ap50 = auto_p50,
-        ap95 = percentile_us(&auto_lat, 95.0),
-        replans = auto_replans,
+        ap50 = percentile_us(auto_lat, 50.0),
+        ap95 = percentile_us(auto_lat, 95.0),
         picks = picks_json,
+        plan_p50 = percentile_us(&plan_lat, 50.0),
+        plan_hits = plan_hits,
+        plan_misses = plan_misses,
         forced = forced_json,
         best = best.0.name(),
         worst = worst.0.name(),
-        avb = auto_p50 / best_p50.max(1e-9),
-        wva = worst_p50 / auto_p50.max(1e-9),
+        avb = auto_vs_best,
+        wva = worst_vs_auto,
     );
     if !ok {
         eprintln!(
-            "bench_json: FAIL: auto p50 ({auto_p50:.2} us) must be within 10% of the \
-             best forced strategy ({} at {best_p50:.2} us) and at least 2x faster than \
-             the worst ({} at {worst_p50:.2} us)",
+            "bench_json: FAIL: auto must be within 10% of the best forced strategy \
+             ({}: auto/best median {auto_vs_best:.3}) and at least 2x faster than the \
+             worst ({}: worst/auto median {worst_vs_auto:.2})",
             best.0.name(),
             worst.0.name()
         );
@@ -965,64 +1023,10 @@ fn planner_scenario(smoke: bool) -> (String, bool) {
     (json, ok)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).expect("--out needs a path").clone())
-        .unwrap_or_else(|| "BENCH_5.json".to_string());
-    let out6_path = args
-        .iter()
-        .position(|a| a == "--out6")
-        .map(|i| args.get(i + 1).expect("--out6 needs a path").clone())
-        .unwrap_or_else(|| "BENCH_6.json".to_string());
-    let out7_path = args
-        .iter()
-        .position(|a| a == "--out7")
-        .map(|i| args.get(i + 1).expect("--out7 needs a path").clone())
-        .unwrap_or_else(|| "BENCH_7.json".to_string());
-    let out8_path = args
-        .iter()
-        .position(|a| a == "--out8")
-        .map(|i| args.get(i + 1).expect("--out8 needs a path").clone())
-        .unwrap_or_else(|| "BENCH_8.json".to_string());
-    let out9_path = args
-        .iter()
-        .position(|a| a == "--out9")
-        .map(|i| args.get(i + 1).expect("--out9 needs a path").clone())
-        .unwrap_or_else(|| "BENCH_9.json".to_string());
-    let out10_path = args
-        .iter()
-        .position(|a| a == "--out10")
-        .map(|i| args.get(i + 1).expect("--out10 needs a path").clone())
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
-    if let Some(bad) = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !matches!(
-                a.as_str(),
-                "--smoke" | "--out" | "--out6" | "--out7" | "--out8" | "--out9" | "--out10"
-            ) && !(*i > 0
-                && (args[i - 1] == "--out"
-                    || args[i - 1] == "--out6"
-                    || args[i - 1] == "--out7"
-                    || args[i - 1] == "--out8"
-                    || args[i - 1] == "--out9"
-                    || args[i - 1] == "--out10"))
-        })
-        .map(|(_, a)| a)
-    {
-        eprintln!(
-            "bench_json: unknown argument {bad:?} \
-             (expected --smoke, --out PATH, --out6 PATH, --out7 PATH, \
-             --out8 PATH, --out9 PATH, --out10 PATH)"
-        );
-        std::process::exit(2);
-    }
-
+/// The repeated-query cache scenario: returns the BENCH_5 JSON and
+/// whether its gate held (full mode only: warm p50 strictly below cold
+/// p50; the smoke workload is too small for a latency gate).
+fn cache_scenario(smoke: bool) -> (String, bool) {
     let (nodes, requests, repeats, df) = if smoke {
         (400usize, 72usize, 1usize, 5usize)
     } else {
@@ -1045,8 +1049,8 @@ fn main() {
     // run repeats both passes and keeps the fastest wall time per pass
     // (standard min-of-N to shed scheduler noise); latency percentiles
     // come from the corresponding pass's samples.
-    // (cold wall, cold latencies, warm wall, warm latencies, cache JSON).
-    type BestPass = (Duration, Vec<Duration>, Duration, Vec<Duration>, String);
+    // (cold wall, cold latencies, warm wall, warm latencies, cache stats).
+    type BestPass = (Duration, Vec<Duration>, Duration, Vec<Duration>, CacheStats);
     let mut best: Option<BestPass> = None;
     for _ in 0..repeats {
         let t0 = Instant::now();
@@ -1062,36 +1066,22 @@ fn main() {
         let t1 = Instant::now();
         let warm_lat = run_stream(&fx, &pool, &stream, Some(cref));
         let warm_wall = t1.elapsed();
-        let cache_json = cache.stats().to_json();
+        let cache_stats = cache.stats();
 
         let better = match &best {
             None => true,
             Some((cw, _, ww, _, _)) => cold_wall + warm_wall < *cw + *ww,
         };
         if better {
-            best = Some((cold_wall, cold_lat, warm_wall, warm_lat, cache_json));
+            best = Some((cold_wall, cold_lat, warm_wall, warm_lat, cache_stats));
         }
     }
-    let (cold_wall, cold_lat, warm_wall, warm_lat, cache_json) =
+    let (cold_wall, cold_lat, warm_wall, warm_lat, cache_stats) =
         best.expect("at least one repeat ran");
 
-    // Hit rate of the warm pass, recomputed from the kept pass's cache
-    // counters so the JSON is self-consistent.
-    let tier = |name: &str| -> (u64, u64) {
-        let seg = &cache_json[cache_json.find(&format!("\"{name}\":{{")).unwrap()..];
-        let grab = |field: &str| -> u64 {
-            let pat = format!("\"{field}\":");
-            let s = seg.find(&pat).unwrap() + pat.len();
-            seg[s..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        (grab("hits"), grab("misses"))
-    };
-    let (rh, rm) = tier("result");
+    // Hit rate of the warm pass, from the kept pass's cache counters so
+    // the JSON is self-consistent.
+    let (rh, rm) = (cache_stats.result.hits, cache_stats.result.misses);
     let hit_rate = rh as f64 / ((rh + rm) as f64).max(1.0);
 
     let cold = measure(&cold_lat, cold_wall);
@@ -1131,90 +1121,81 @@ fn main() {
         wqps = warm.qps,
         hr = hit_rate,
         speedup = cold.p50_us / warm.p50_us.max(1e-9),
-        cache = cache_json,
+        cache = serde_json::to_string(&cache_stats).expect("cache stats serialize"),
     );
 
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
     println!(
-        "bench_json [{}]: cold p50 {:.1} us / warm p50 {:.1} us, warm hit rate {:.1}%, wrote {}",
+        "bench_json [{}]: cold p50 {:.1} us / warm p50 {:.1} us, warm hit rate {:.1}%",
         if smoke { "smoke" } else { "full" },
         cold.p50_us,
         warm.p50_us,
         hit_rate * 100.0,
-        out_path
     );
-
-    // The delta-reload scenario runs its own right-sized workload.
-    let (json6, delta_ok) = delta_scenario(&pool, smoke);
-    std::fs::write(&out6_path, &json6).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out6_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "bench_json [{}]: delta-reload scenario wrote {}",
-        if smoke { "smoke" } else { "full" },
-        out6_path
-    );
-
-    // The cold-query scenario: tree-walk cold path vs persistent segment.
-    let (json7, cold_ok) = cold_index_scenario(smoke);
-    std::fs::write(&out7_path, &json7).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out7_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "bench_json [{}]: cold-query scenario wrote {}",
-        if smoke { "smoke" } else { "full" },
-        out7_path
-    );
-
-    // The scatter-gather scenario: sharded evaluation plus the stampede.
-    let (json8, scatter_ok) = scatter_scenario(&pool, smoke);
-    std::fs::write(&out8_path, &json8).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out8_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "bench_json [{}]: scatter-gather scenario wrote {}",
-        if smoke { "smoke" } else { "full" },
-        out8_path
-    );
-
-    // The hedged-tail scenario: replicated dispatch vs a stalling replica.
-    let (json9, hedged_ok) = hedged_tail_scenario(smoke);
-    std::fs::write(&out9_path, &json9).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out9_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "bench_json [{}]: hedged-tail scenario wrote {}",
-        if smoke { "smoke" } else { "full" },
-        out9_path
-    );
-
-    // The strategy-picking scenario: auto vs every forced strategy.
-    let (json10, planner_ok) = planner_scenario(smoke);
-    std::fs::write(&out10_path, &json10).unwrap_or_else(|e| {
-        eprintln!("bench_json: cannot write {out10_path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "bench_json [{}]: planner scenario wrote {}",
-        if smoke { "smoke" } else { "full" },
-        out10_path
-    );
-
-    if !smoke && warm.p50_us >= cold.p50_us {
+    let ok = smoke || warm.p50_us < cold.p50_us;
+    if !ok {
         eprintln!(
             "bench_json: FAIL: warm p50 ({:.2} us) is not strictly below cold p50 ({:.2} us)",
             warm.p50_us, cold.p50_us
         );
+    }
+    (json, ok)
+}
+
+/// One scenario: its name for the log line, the file it writes under
+/// `--out-dir`, and the function that runs it (given `--smoke`) and
+/// returns its JSON and whether its gate held.
+type Scenario = (&'static str, &'static str, fn(bool) -> (String, bool));
+
+/// Every scenario, in run order.
+const SCENARIOS: [Scenario; 6] = [
+    ("repeated-query cache", "BENCH_5.json", cache_scenario),
+    ("delta-reload", "BENCH_6.json", delta_scenario),
+    ("cold-query", "BENCH_7.json", cold_index_scenario),
+    ("scatter-gather", "BENCH_8.json", scatter_scenario),
+    ("hedged-tail", "BENCH_9.json", hedged_tail_scenario),
+    ("planner", "BENCH_10.json", planner_scenario),
+];
+
+fn main() {
+    let mut smoke = false;
+    let mut out_dir = PathBuf::from(".");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out-dir" => match args.next() {
+                Some(dir) => out_dir = dir.into(),
+                None => usage("--out-dir needs a directory"),
+            },
+            other => usage(&format!("unknown argument {other:?}")),
+        }
+    }
+    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
+        eprintln!("bench_json: cannot create {}: {e}", out_dir.display());
+        std::process::exit(1);
+    });
+
+    let mut ok = true;
+    for (name, file, run) in SCENARIOS {
+        let (json, passed) = run(smoke);
+        let path = out_dir.join(file);
+        std::fs::write(&path, &json).unwrap_or_else(|e| {
+            eprintln!("bench_json: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        });
+        println!(
+            "bench_json [{}]: {name} scenario wrote {}",
+            if smoke { "smoke" } else { "full" },
+            path.display()
+        );
+        ok &= passed;
+    }
+    if !ok {
         std::process::exit(1);
     }
-    if !delta_ok || !cold_ok || !scatter_ok || !hedged_ok || !planner_ok {
-        std::process::exit(1);
-    }
+}
+
+fn usage(why: &str) -> ! {
+    eprintln!("bench_json: {why} (usage: bench_json [--smoke] [--out-dir DIR])");
+    std::process::exit(2);
 }

@@ -713,7 +713,8 @@ pub fn multi_search(coll: &Collection, a: &SearchArgs) -> Result<String, CliErro
             .unwrap();
         }
         if let Some((c, _)) = &cache {
-            writeln!(out, "cache: {}", c.stats().to_json()).unwrap();
+            let stats = serde_json::to_string(&c.stats()).expect("cache stats serialize");
+            writeln!(out, "cache: {stats}").unwrap();
         }
     }
     if a.profile.is_on() {
@@ -914,7 +915,8 @@ fn search_impl<I: PostingsSource + ?Sized>(
             writeln!(out, "{}", segment_stats_line(seg)).unwrap();
         }
         if let Some((c, _)) = &cache {
-            writeln!(out, "cache: {}", c.stats().to_json()).unwrap();
+            let stats = serde_json::to_string(&c.stats()).expect("cache stats serialize");
+            writeln!(out, "cache: {stats}").unwrap();
         }
     }
     out.push_str(&profile_block(a.profile, &sink.take()));
@@ -1126,7 +1128,8 @@ fn explain_impl<I: PostingsSource + ?Sized>(
         for line in render_spans(&sink.take()).lines() {
             writeln!(out, "  {line}").unwrap();
         }
-        writeln!(out, "cache: {}", cache.stats().to_json()).unwrap();
+        let stats = serde_json::to_string(&cache.stats()).expect("cache stats serialize");
+        writeln!(out, "cache: {stats}").unwrap();
     }
     // Last so `terms_loaded` reflects everything the stages above
     // actually materialized from the persistent segment.

@@ -176,10 +176,10 @@ impl<'de> Deserialize<'de> for Request {
     }
 }
 
-/// Stable schema of the `stats`-verb response (assembled as raw JSON in
-/// the server; documented here because this module is the protocol
-/// reference). Field order is fixed; counters are cumulative since
-/// boot; no wall-clock values outside `latency`.
+/// Stable schema of the `stats`-verb response (serialized from the reply
+/// structs in the server; documented here because this module is the
+/// protocol reference). Field order is fixed; counters are cumulative
+/// since boot; no wall-clock values outside `latency`.
 ///
 /// ```json
 /// {"id": N, "status": "ok",
@@ -278,8 +278,8 @@ pub struct Answer {
 }
 
 /// One response line for `query`-kind requests (and admission
-/// rejections). `health` and `stats` responses are assembled directly
-/// as JSON in the server because they embed histogram/counter objects.
+/// rejections). `health` and `stats` replies have reply structs of
+/// their own in the server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Response {
     /// Echo of the request id (0 when the request line didn't decode).

@@ -27,12 +27,14 @@
 //! `catch_unwind`: a panic (organic or injected via `--inject`)
 //! becomes a structured reply, the worker spawns its own replacement
 //! in the same replica, and the process lives on. Deadlines are
-//! measured from *admission* and wired into the existing [`Budget`]
-//! wall-clock and a per-request [`CancelToken`] armed by a watchdog
-//! thread, so the degradation ladder answers with a sound subset when
-//! time runs out. Concurrent identical cold queries coalesce on the
-//! replica's singleflight table: one leader evaluates, followers wake
-//! and replay the byte-identical cached answer. `shutdown` drains
+//! measured from *admission*: each sub-job's [`Budget`] wall clock is
+//! what remains of the request's, and the gather cancels every
+//! unresolved sub-job's [`CancelToken`] at the deadline instant, so
+//! evaluation still running then ends as `timeout` (work budgets, not
+//! deadlines, degrade an answer down the ladder). Concurrent identical
+//! cold queries coalesce on the replica's singleflight table: one
+//! leader evaluates, followers wake and replay the byte-identical
+//! cached answer. `shutdown` drains
 //! gracefully: admission closes, queued work finishes, workers exit,
 //! and the final summary asserts zero in-flight requests.
 //!
@@ -42,6 +44,7 @@
 
 use crate::commands::CliError;
 use crate::protocol::{status, Answer, Request, RequestKind, Response, ShardOutcome};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -60,9 +63,9 @@ use xfrag_core::rank::RankConfig;
 use xfrag_core::snippet::{snippet, SnippetConfig};
 use xfrag_core::trace::{serve_stage, LatencyHistogram, Span, Tracer};
 use xfrag_core::{
-    flight_key, Breach, Budget, CacheStats, CancelToken, EvalStats, ExecPolicy, FaultInjector,
-    FaultPlan, Flight, GenerationTag, PickCounters, PickSnapshot, PlanCache, Query, QueryCache,
-    QueryError, RetryBudget, Singleflight,
+    flight_key, Breach, Budget, CacheStats, CancelToken, CarryOver, EvalStats, ExecPolicy,
+    FaultInjector, FaultPlan, Flight, GenerationTag, PickCounters, PickSnapshot, PlanCache, Query,
+    QueryCache, QueryError, RetryBudget, Singleflight, SingleflightStats,
 };
 use xfrag_doc::manifest;
 use xfrag_doc::{Collection, DocId, Document};
@@ -161,22 +164,18 @@ impl ServeArgs {
 
 /// Route a document display name to a shard index.
 ///
-/// FNV-1a rather than [`std::hash::DefaultHasher`]: the std hasher's
-/// keys are explicitly not guaranteed stable across processes or
-/// releases, and routing must be stable so a restart or reload keeps
-/// each document — and therefore each shard's cache arena — on the
-/// same shard.
+/// FNV-1a (the manifest checksum) rather than
+/// [`std::hash::DefaultHasher`]: the std hasher's keys are explicitly
+/// not guaranteed stable across processes or releases, and routing must
+/// be stable so a restart or reload keeps each document — and therefore
+/// each shard's cache arena — on the same shard.
 fn route(name: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (manifest::checksum(name.as_bytes()) % shards.max(1) as u64) as usize
 }
 
-/// Serve counters; exposed verbatim by the `stats` request kind.
-struct ServeStats {
+/// Request outcome counters; the `serve` object of a `stats` reply.
+#[derive(Clone, Copy, Default, Serialize)]
+struct ServeCounters {
     total: u64,
     ok: u64,
     degraded: u64,
@@ -190,30 +189,9 @@ struct ServeStats {
     /// Transient `accept()` failures ridden out by the listener loop
     /// (EMFILE/ENFILE/ECONNABORTED/EINTR and kin).
     accept_errors: u64,
-    /// Summed evaluation counters across all query requests.
-    eval: EvalStats,
-    /// Admission-to-response latency per query request.
-    latency: LatencyHistogram,
 }
 
-impl ServeStats {
-    fn new() -> Self {
-        ServeStats {
-            total: 0,
-            ok: 0,
-            degraded: 0,
-            shed: 0,
-            timeout: 0,
-            error: 0,
-            shutting_down: 0,
-            invalid: 0,
-            worker_panics: 0,
-            accept_errors: 0,
-            eval: EvalStats::new(),
-            latency: LatencyHistogram::new(),
-        }
-    }
-
+impl ServeCounters {
     fn bump(&mut self, status: &str) {
         self.total += 1;
         match status {
@@ -228,19 +206,36 @@ impl ServeStats {
     }
 }
 
-/// One replica's slice of an admitted query, waiting for (or being
-/// processed by) that replica's worker pool. The corpus snapshot is
-/// pinned at admission so every sub-job of one request answers from the
-/// same generation even if a reload lands mid-scatter.
-struct ShardJob {
+/// Serve counters; exposed verbatim by the `stats` request kind.
+#[derive(Default)]
+struct ServeStats {
+    counters: ServeCounters,
+    /// Summed evaluation counters across all query requests.
+    eval: EvalStats,
+    /// Admission-to-response latency per query request.
+    latency: LatencyHistogram,
+}
+
+/// What every attempt of one admitted request shares. The corpus
+/// snapshot is pinned at admission so every sub-job of one request
+/// answers from the same generation even if a reload lands mid-scatter.
+#[derive(Clone)]
+struct Scatter {
     req: Arc<Request>,
     gen: Arc<Generation>,
     /// Admission time; deadlines are measured from here, so time spent
     /// queued counts against the request.
     enqueued: Instant,
+    /// Where workers send their sub-replies; the gather listens.
     reply: mpsc::Sender<GroupReply>,
-    /// Cancelled by the watchdog when the deadline passes, and by the
-    /// gather when a sibling replica's reply already won this group.
+}
+
+/// One replica's slice of an admitted query, waiting for (or being
+/// processed by) that replica's worker pool.
+struct ShardJob {
+    scatter: Scatter,
+    /// Cancelled by the gather: at the request deadline, and as soon as
+    /// a sibling replica's reply has won this group.
     cancel: CancelToken,
     group: usize,
     replica: usize,
@@ -392,9 +387,7 @@ struct Shared {
     /// Cache carry-over totals across all reloads and shards (see
     /// [`xfrag_core::QueryCache::carry_over`]): entries kept under the
     /// same doc id, rekeyed to a new id, and evicted as changed/removed.
-    carry_kept: AtomicU64,
-    carry_rekeyed: AtomicU64,
-    carry_evicted: AtomicU64,
+    carry: Mutex<CarryOver>,
     queue_depth: usize,
     timeout_ms: Option<u64>,
     /// Hedge-delay floor (and cold-start hedge delay).
@@ -412,7 +405,7 @@ struct Shared {
 
 impl Shared {
     fn bump(&self, status: &str) {
-        self.stats.lock().unwrap().bump(status);
+        self.stats.lock().unwrap().counters.bump(status);
     }
 
     /// The current corpus snapshot. Cheap: one mutex-guarded Arc clone.
@@ -556,9 +549,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
         reload_lock: Mutex::new(()),
         reloads_ok: AtomicU64::new(0),
         reloads_failed: AtomicU64::new(0),
-        carry_kept: AtomicU64::new(0),
-        carry_rekeyed: AtomicU64::new(0),
-        carry_evicted: AtomicU64::new(0),
+        carry: Mutex::new(CarryOver::default()),
         queue_depth: args.queue_depth.max(1),
         timeout_ms: args.timeout_ms,
         hedge_floor: Duration::from_millis(args.hedge_ms.max(1)),
@@ -568,7 +559,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
         shutdown: AtomicBool::new(false),
         inner: Mutex::new(Inner { conns: 0 }),
         drain_cv: Condvar::new(),
-        stats: Mutex::new(ServeStats::new()),
+        stats: Mutex::new(ServeStats::default()),
     });
     for group_idx in 0..shards_n {
         for replica_idx in 0..replicas_n {
@@ -616,7 +607,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                shared.stats.lock().unwrap().accept_errors += 1;
+                shared.stats.lock().unwrap().counters.accept_errors += 1;
                 use std::io::ErrorKind;
                 // Aborted/interrupted accepts cost nothing to retry at
                 // once; resource exhaustion needs breathing room for
@@ -666,7 +657,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, CliError> {
         }
     }
     let (_, _, in_flight) = pool_totals(&shared);
-    let st = shared.stats.lock().unwrap();
+    let st = shared.stats.lock().unwrap().counters;
     let quarantined = shared.snapshot().quarantined.len();
     Ok(format!(
         "drained: {} request(s) ({} ok, {} degraded, {} shed, {} timeout, {} error), \
@@ -950,9 +941,7 @@ fn try_reload(s: &Arc<Shared>) -> Result<Arc<Generation>, String> {
         for rep in s.groups.iter().flat_map(|g| &g.replicas) {
             if let Some(cache) = &rep.cache {
                 let co = cache.carry_over(current.tag, next.tag, &doc_map);
-                s.carry_kept.fetch_add(co.kept, Ordering::SeqCst);
-                s.carry_rekeyed.fetch_add(co.rekeyed, Ordering::SeqCst);
-                s.carry_evicted.fetch_add(co.evicted, Ordering::SeqCst);
+                s.carry.lock().unwrap().absorb(co);
             }
         }
     }
@@ -1022,10 +1011,7 @@ fn handle_conn(s: Arc<Shared>, stream: TcpStream) {
         let line = line.trim_end_matches(['\r', '\n']);
         let out = match serde_json::from_str::<Request>(line) {
             Err(e) => {
-                {
-                    let mut st = s.stats.lock().unwrap();
-                    st.invalid += 1;
-                }
+                s.stats.lock().unwrap().counters.invalid += 1;
                 s.bump(status::ERROR);
                 Response::error(0, format!("bad request: {e}")).to_line()
             }
@@ -1067,11 +1053,11 @@ fn handle_conn(s: Arc<Shared>, stream: TcpStream) {
                         rejection.to_line()
                     }
                     Ok(gather) => {
-                        let admitted = gather.enqueued;
+                        let admitted = gather.scatter.enqueued;
                         let resp = gather_response(&s, gather);
                         {
                             let mut st = s.stats.lock().unwrap();
-                            st.bump(&resp.status);
+                            st.counters.bump(&resp.status);
                             st.latency.record(admitted.elapsed());
                             if let Some(es) = &resp.stats {
                                 st.eval += *es;
@@ -1141,19 +1127,75 @@ impl GroupState {
     fn settled(&self) -> bool {
         self.eval.is_some() || (self.down.is_some() && self.attempts.iter().all(|a| a.resolved))
     }
+
+    /// Resolve every attempt still in flight: cancel it and deliver
+    /// `verdict` (abandon or failure) to its replica's breaker.
+    fn resolve_rest(&mut self, group: &ReplicaGroup, verdict: fn(&CircuitBreaker, Permit)) {
+        for a in self.attempts.iter_mut().filter(|a| !a.resolved) {
+            a.resolved = true;
+            a.cancel.cancel();
+            verdict(&group.replicas[a.replica].breaker, a.permit);
+        }
+    }
+}
+
+/// Why a replica did not take an attempt: its queue is full, its
+/// breaker refused a permit, or the request's hedge budget is spent.
+enum Refusal {
+    Full,
+    Open,
+    Budget,
+}
+
+impl Scatter {
+    /// Enqueue attempt `attempt` of group `gi`'s sub-job on replica
+    /// `ri`, whose queue lock the caller holds as `q`. The one enqueue
+    /// path: primary dispatch, hedges and failovers all come through
+    /// here. `budget` is charged only once the queue has room and the
+    /// breaker granted a permit, so a fully-broken group does not burn
+    /// allowance other groups could still use.
+    fn enqueue(
+        &self,
+        s: &Shared,
+        q: &mut ShardInner,
+        (gi, ri): (usize, usize),
+        attempt: usize,
+        budget: Option<&RetryBudget>,
+    ) -> Result<AttemptState, Refusal> {
+        if q.queue.len() >= s.queue_depth {
+            return Err(Refusal::Full);
+        }
+        let breaker = &s.groups[gi].replicas[ri].breaker;
+        let permit = breaker.try_acquire().ok_or(Refusal::Open)?;
+        if budget.is_some_and(|b| !b.try_spend()) {
+            breaker.abandon(permit);
+            return Err(Refusal::Budget);
+        }
+        let cancel = CancelToken::new();
+        q.in_flight += 1;
+        q.queue.push_back(ShardJob {
+            scatter: self.clone(),
+            cancel: cancel.clone(),
+            group: gi,
+            replica: ri,
+            attempt,
+        });
+        Ok(AttemptState {
+            replica: ri,
+            cancel,
+            permit,
+            resolved: false,
+        })
+    }
 }
 
 /// Everything the connection thread needs to assemble one response
 /// from the scattered sub-jobs.
 struct Gather {
     rx: mpsc::Receiver<GroupReply>,
-    /// Kept so hedge/failover dispatches can hand workers a reply
-    /// sender after admission.
-    tx: mpsc::Sender<GroupReply>,
+    /// Kept so hedge/failover dispatches can enqueue after admission.
+    scatter: Scatter,
     groups: Vec<GroupState>,
-    enqueued: Instant,
-    req: Arc<Request>,
-    gen: Arc<Generation>,
     /// Caps extra (hedge + failover) dispatches for this one request so
     /// redundancy cannot amplify load during a brown-out: at most one
     /// extra attempt per group on average, shared across the request.
@@ -1185,68 +1227,51 @@ fn admit_scatter(s: &Arc<Shared>, req: Request) -> Result<Gather, Box<Response>>
     if s.shutdown.load(Ordering::SeqCst) {
         return Err(Box::new(Response::bare(id, status::SHUTTING_DOWN)));
     }
-    // Pin one snapshot for every group of this request: a reload that
-    // lands mid-scatter must not split the request across generations.
-    let gen = s.snapshot();
-    let enqueued = Instant::now();
-    let req = Arc::new(req);
-    let (tx, rx) = mpsc::channel();
+    let (reply, rx) = mpsc::channel();
+    let scatter = Scatter {
+        req: Arc::new(req),
+        gen: s.snapshot(),
+        enqueued: Instant::now(),
+        reply,
+    };
     let mut states: Vec<GroupState> = Vec::with_capacity(s.groups.len());
     let mut dispatched: Vec<(usize, usize)> = Vec::new();
     for (gi, group) in s.groups.iter().enumerate() {
-        let mut saw_full = false;
+        let mut down = Down::Open;
         let mut admitted = None;
         for (ri, rep) in group.replicas.iter().enumerate() {
-            let g = &mut guards[gi][ri];
-            if g.queue.len() >= s.queue_depth {
-                saw_full = true;
-                continue;
+            match scatter.enqueue(s, &mut guards[gi][ri], (gi, ri), 0, None) {
+                Ok(attempt) => {
+                    dispatched.push((gi, ri));
+                    // Arm the hedge timer only when a backup exists to
+                    // hedge to.
+                    let hedge_at = (group.replicas.len() > 1)
+                        .then(|| scatter.enqueued + hedge_delay(rep, s.hedge_floor));
+                    admitted = Some(GroupState {
+                        attempts: vec![attempt],
+                        eval: None,
+                        down: None,
+                        hedge_at,
+                    });
+                    break;
+                }
+                Err(Refusal::Full) => down = Down::Shed,
+                Err(_) => {}
             }
-            let Some(permit) = rep.breaker.try_acquire() else {
-                continue;
-            };
-            let cancel = CancelToken::new();
-            g.in_flight += 1;
-            g.queue.push_back(ShardJob {
-                req: Arc::clone(&req),
-                gen: Arc::clone(&gen),
-                enqueued,
-                reply: tx.clone(),
-                cancel: cancel.clone(),
-                group: gi,
-                replica: ri,
-                attempt: 0,
-            });
-            dispatched.push((gi, ri));
-            // Arm the hedge timer only when a backup exists to hedge to.
-            let hedge_at =
-                (group.replicas.len() > 1).then(|| enqueued + hedge_delay(rep, s.hedge_floor));
-            admitted = Some(GroupState {
-                attempts: vec![AttemptState {
-                    replica: ri,
-                    cancel,
-                    permit,
-                    resolved: false,
-                }],
-                eval: None,
-                down: None,
-                hedge_at,
-            });
-            break;
         }
         states.push(admitted.unwrap_or(GroupState {
             attempts: Vec::new(),
             eval: None,
-            down: Some(if saw_full { Down::Shed } else { Down::Open }),
+            down: Some(down),
             hedge_at: None,
         }));
     }
+    drop(guards);
     if dispatched.is_empty() {
         // Nothing admitted anywhere: a whole-request rejection, in the
         // old single-pool shape. No permits are outstanding here — a
         // group either enqueued (and is in `dispatched`) or holds none.
         let all_open = states.iter().all(|st| st.down == Some(Down::Open));
-        drop(guards);
         let mut r = Response::bare(id, status::SHED);
         r.note = Some(if all_open {
             "every replica's circuit breaker is open".into()
@@ -1255,7 +1280,6 @@ fn admit_scatter(s: &Arc<Shared>, req: Request) -> Result<Gather, Box<Response>>
         });
         return Err(Box::new(r));
     }
-    drop(guards);
     for (gi, ri) in dispatched {
         s.groups[gi].replicas[ri].work_cv.notify_one();
     }
@@ -1264,11 +1288,8 @@ fn admit_scatter(s: &Arc<Shared>, req: Request) -> Result<Gather, Box<Response>>
     let hedge_budget = RetryBudget::new(s.groups.len() as u64, None);
     Ok(Gather {
         rx,
-        tx,
+        scatter,
         groups: states,
-        enqueued,
-        req,
-        gen,
         hedge_budget,
     })
 }
@@ -1278,78 +1299,66 @@ fn admit_scatter(s: &Arc<Shared>, req: Request) -> Result<Gather, Box<Response>>
 /// reasons not to: no untried replica, breakers refuse them all, their
 /// queues are full, the drain began, or the request's hedge budget is
 /// spent. Never blocks beyond the replica queue mutexes.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_backup(
     s: &Shared,
     gi: usize,
     gs: &mut GroupState,
-    req: &Arc<Request>,
-    gen: &Arc<Generation>,
-    enqueued: Instant,
-    tx: &mpsc::Sender<GroupReply>,
+    scatter: &Scatter,
     budget: &RetryBudget,
 ) -> bool {
-    let group = &s.groups[gi];
-    for (ri, rep) in group.replicas.iter().enumerate() {
+    for (ri, rep) in s.groups[gi].replicas.iter().enumerate() {
         if gs.attempts.iter().any(|a| a.replica == ri) {
             continue; // already tried (or in flight) on this replica
         }
-        let Some(permit) = rep.breaker.try_acquire() else {
-            continue;
-        };
-        let mut g = rep.inner.lock().unwrap();
-        if s.shutdown.load(Ordering::SeqCst) || g.queue.len() >= s.queue_depth {
-            drop(g);
-            rep.breaker.abandon(permit);
-            continue;
-        }
-        // Charge the budget only once a viable backup exists, so a
-        // fully-broken group doesn't burn allowance other groups could
-        // still use.
-        if !budget.try_spend() {
-            drop(g);
-            rep.breaker.abandon(permit);
+        let mut q = rep.inner.lock().unwrap();
+        if s.shutdown.load(Ordering::SeqCst) {
             return false;
         }
-        let cancel = CancelToken::new();
-        let attempt = gs.attempts.len();
-        g.in_flight += 1;
-        g.queue.push_back(ShardJob {
-            req: Arc::clone(req),
-            gen: Arc::clone(gen),
-            enqueued,
-            reply: tx.clone(),
-            cancel: cancel.clone(),
-            group: gi,
-            replica: ri,
-            attempt,
-        });
-        drop(g);
-        rep.hedges.fetch_add(1, Ordering::Relaxed);
-        rep.work_cv.notify_one();
-        gs.attempts.push(AttemptState {
-            replica: ri,
-            cancel,
-            permit,
-            resolved: false,
-        });
-        return true;
+        match scatter.enqueue(s, &mut q, (gi, ri), gs.attempts.len(), Some(budget)) {
+            Ok(attempt) => {
+                drop(q);
+                rep.hedges.fetch_add(1, Ordering::Relaxed);
+                rep.work_cv.notify_one();
+                gs.attempts.push(attempt);
+                return true;
+            }
+            Err(Refusal::Budget) => return false,
+            Err(_) => {}
+        }
     }
     false
+}
+
+/// The request's effective deadline: the tighter of its own
+/// `timeout_ms` and the server's `--timeout-ms`, measured from
+/// admission (queue time counts against the request).
+fn effective_deadline(s: &Shared, req: &Request) -> Option<Duration> {
+    match (s.timeout_ms, req.timeout_ms) {
+        (None, None) => None,
+        (a, b) => Some(Duration::from_millis(
+            a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
+        )),
+    }
 }
 
 /// How long past the request deadline the gather keeps listening for
 /// in-band replies before declaring a shard wedged and dropping it
 /// from the merge. Shards answer their own deadline misses in-band
-/// (the watchdog cancels, the worker replies `timeout`), and those
-/// replies land within this grace; only a group that cannot reply at
-/// all — every usable replica stalled, injected hard delay — burns the
-/// full grace and is dropped, flipping the response to
-/// `"complete":false`.
+/// (the gather cancels at the deadline, the worker's next governor
+/// checkpoint sees it and replies `timeout`), and those replies land
+/// within this grace; only a group that cannot reply at all — every
+/// usable replica stalled, injected hard delay — burns the full grace
+/// and is dropped, flipping the response to `"complete":false`.
 const GATHER_GRACE: Duration = Duration::from_millis(250);
 
 /// Collect the scattered sub-replies — firing hedge timers and
 /// failovers along the way — and merge them into one response.
+///
+/// The gather owns the deadline: at `enqueued + deadline` it cancels
+/// every attempt still unresolved, exactly as it cancels hedge losers.
+/// A worker's governor checks the token before its own wall clock, so
+/// evaluation running at the deadline ends as `timeout` rather than as
+/// a degraded partial answer.
 ///
 /// Merge invariant (see DESIGN.md): concatenate the surviving groups'
 /// per-document answers, sort by document id, sum the counters, and
@@ -1359,15 +1368,11 @@ const GATHER_GRACE: Duration = Duration::from_millis(250);
 /// and with groups missing it is byte-identical to a single-shard
 /// server over the surviving documents (plus the accounting fields).
 fn gather_response(s: &Shared, mut g: Gather) -> Response {
-    let id = g.req.id;
+    let id = g.scatter.req.id;
     let total = s.groups.len();
-    let deadline = match (s.timeout_ms, g.req.timeout_ms) {
-        (None, None) => None,
-        (a, b) => Some(Duration::from_millis(
-            a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
-        )),
-    };
-    let overall = deadline.map(|d| g.enqueued + d + GATHER_GRACE);
+    let deadline = effective_deadline(s, &g.scatter.req);
+    let mut cancel_at = deadline.map(|d| g.scatter.enqueued + d);
+    let overall = deadline.map(|d| g.scatter.enqueued + d + GATHER_GRACE);
     // Hedge spans land here; today no serve-side profile sink exists,
     // so this is the disabled tracer — the span names stay wired at
     // the dispatch point for when one grows (see `serve_stage`).
@@ -1382,37 +1387,33 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
             if g.groups[gi].hedge_at.is_some_and(|t| t <= now) {
                 let gs = &mut g.groups[gi];
                 gs.hedge_at = None; // one-shot
-                if dispatch_backup(
-                    s,
-                    gi,
-                    gs,
-                    &g.req,
-                    &g.gen,
-                    g.enqueued,
-                    &g.tx,
-                    &g.hedge_budget,
-                ) {
+                if dispatch_backup(s, gi, gs, &g.scatter, &g.hedge_budget) {
                     tracer.attach(Span::leaf(
                         serve_stage::HEDGE_FIRE,
-                        g.enqueued.elapsed(),
+                        g.scatter.enqueued.elapsed(),
                         EvalStats::new(),
                     ));
                 }
+            }
+        }
+        // The deadline passed: cancel whatever is still running (one
+        // shot). Attempts stay unresolved until their in-band `timeout`
+        // reply delivers the breaker verdict.
+        if cancel_at.is_some_and(|t| t <= now) {
+            cancel_at = None;
+            let live = g.groups.iter().flat_map(|gs| &gs.attempts);
+            for a in live.filter(|a| !a.resolved) {
+                a.cancel.cancel();
             }
         }
         if g.groups.iter().all(GroupState::settled) {
             break;
         }
         // Sleep until the next thing that could need action: a reply,
-        // the earliest armed hedge timer, or the overall cutoff.
+        // the earliest armed hedge timer, the deadline, or the overall
+        // cutoff.
         let next_hedge = g.groups.iter().filter_map(|st| st.hedge_at).min();
-        let wake = match (overall, next_hedge) {
-            (None, None) => None,
-            (a, b) => Some(
-                a.unwrap_or_else(|| b.unwrap())
-                    .min(b.unwrap_or_else(|| a.unwrap())),
-            ),
-        };
+        let wake = [overall, next_hedge, cancel_at].into_iter().flatten().min();
         let reply = match wake {
             // No deadline and no pending hedge: a group may
             // legitimately take as long as it likes, so the gather
@@ -1425,7 +1426,7 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
                     if overall.is_some_and(|o| o <= now) && next_hedge.is_none_or(|h| h > now) {
                         break; // grace burned; unsettled groups are wedged
                     }
-                    continue; // a hedge timer is due: fire it first
+                    continue; // a hedge timer or the deadline is due
                 }
                 match g.rx.recv_timeout(t - now) {
                     Ok(r) => Some(r),
@@ -1456,18 +1457,14 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
         match reply {
             ShardReply::Eval(r) => {
                 rep.breaker.record_success(permit);
-                observe_latency(rep, g.enqueued.elapsed());
+                observe_latency(rep, g.scatter.enqueued.elapsed());
                 if attempt > 0 {
                     rep.hedge_wins.fetch_add(1, Ordering::Relaxed);
                 }
                 // First good reply wins the group: cancel the losers
                 // and abandon their breaker permits — a cancelled
                 // attempt is not evidence about the replica's health.
-                for a in gs.attempts.iter_mut().filter(|a| !a.resolved) {
-                    a.resolved = true;
-                    a.cancel.cancel();
-                    s.groups[gi].replicas[a.replica].breaker.abandon(a.permit);
-                }
+                gs.resolve_rest(&s.groups[gi], CircuitBreaker::abandon);
                 gs.eval = Some(r);
                 gs.down = None;
                 gs.hedge_at = None;
@@ -1491,16 +1488,7 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
                     // still time on the clock, so fail over right away
                     // instead of waiting for the hedge timer.
                     gs.hedge_at = None;
-                    let failed_over = dispatch_backup(
-                        s,
-                        gi,
-                        gs,
-                        &g.req,
-                        &g.gen,
-                        g.enqueued,
-                        &g.tx,
-                        &g.hedge_budget,
-                    );
+                    let failed_over = dispatch_backup(s, gi, gs, &g.scatter, &g.hedge_budget);
                     if !failed_over && gs.attempts.iter().all(|a| a.resolved) {
                         gs.down = Some(Down::Panicked);
                     }
@@ -1516,12 +1504,8 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
                 // request-shaped (bad strategy, no keywords) and say
                 // nothing about the replica's health.
                 rep.breaker.abandon(permit);
-                for (ogi, gstate) in g.groups.iter_mut().enumerate() {
-                    for a in gstate.attempts.iter_mut().filter(|a| !a.resolved) {
-                        a.resolved = true;
-                        a.cancel.cancel();
-                        s.groups[ogi].replicas[a.replica].breaker.abandon(a.permit);
-                    }
+                for (gs, group) in g.groups.iter_mut().zip(&s.groups) {
+                    gs.resolve_rest(group, CircuitBreaker::abandon);
                 }
                 return Response::error(id, m);
             }
@@ -1535,13 +1519,7 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
         if gs.eval.is_some() {
             continue;
         }
-        for a in gs.attempts.iter_mut().filter(|a| !a.resolved) {
-            a.resolved = true;
-            a.cancel.cancel();
-            s.groups[gi].replicas[a.replica]
-                .breaker
-                .record_failure(a.permit);
-        }
+        gs.resolve_rest(&s.groups[gi], CircuitBreaker::record_failure);
         if gs.down.is_none() {
             gs.down = Some(Down::TimedOut);
         }
@@ -1571,8 +1549,8 @@ fn gather_response(s: &Shared, mut g: Gather) -> Response {
         return r;
     }
 
-    let req = &*g.req;
-    let coll = &g.gen.coll;
+    let req = &*g.scatter.req;
+    let coll = &g.scatter.gen.coll;
     let ok = evals.len();
     let complete = ok == total;
     let mut answers = Vec::new();
@@ -1692,247 +1670,296 @@ fn begin_shutdown(s: &Arc<Shared>, id: u64) -> String {
     r.to_line()
 }
 
+/// The `health` reply.
+#[derive(Serialize)]
+struct HealthReply {
+    id: u64,
+    status: &'static str,
+    workers: usize,
+    queued: usize,
+    in_flight: usize,
+    docs: usize,
+    generation: u64,
+    quarantined: Vec<String>,
+}
+
 fn health_line(s: &Shared, id: u64) -> String {
     let gen = s.snapshot();
     let (workers, queued, in_flight) = pool_totals(s);
-    let quarantined: Vec<&str> = gen.quarantined.iter().map(|(n, _)| n.as_str()).collect();
-    format!(
-        "{{\"id\":{},\"status\":\"ok\",\"workers\":{},\"queued\":{},\"in_flight\":{},\"docs\":{},\"generation\":{},\"quarantined\":{}}}",
+    let reply = HealthReply {
         id,
+        status: status::OK,
         workers,
         queued,
         in_flight,
-        gen.coll.len(),
-        gen.number,
-        serde_json::to_string(&quarantined).expect("names serialize"),
-    )
+        docs: gen.coll.len(),
+        generation: gen.number,
+        quarantined: gen.quarantined.iter().map(|(n, _)| n.clone()).collect(),
+    };
+    serde_json::to_string(&reply).expect("health reply serializes")
 }
 
-/// The aggregate cache block for `stats`: replica arenas folded into
-/// one [`CacheStats`] (tier counters summed, per-lock-shard counter
-/// lists concatenated in (group, replica) order), or `null` when
-/// caching is off. With one shard and one replica this is bit-for-bit
-/// the old single-arena block.
-fn cache_json(s: &Shared) -> String {
-    let mut agg: Option<CacheStats> = None;
-    for rep in s.groups.iter().flat_map(|g| &g.replicas) {
-        let Some(c) = &rep.cache else { continue };
-        let st = c.stats();
-        match &mut agg {
-            None => agg = Some(st),
-            Some(a) => {
-                a.postings.hits += st.postings.hits;
-                a.postings.misses += st.postings.misses;
-                a.fixpoint.hits += st.fixpoint.hits;
-                a.fixpoint.misses += st.fixpoint.misses;
-                a.result.hits += st.result.hits;
-                a.result.misses += st.result.misses;
-                a.evictions += st.evictions;
-                a.insertions += st.insertions;
-                a.bytes += st.bytes;
-                a.entries += st.entries;
-                a.shards.extend(st.shards);
-            }
+/// The `stats` reply. Field order is key order; the schema is
+/// documented in `protocol.rs`.
+#[derive(Serialize)]
+struct StatsReply {
+    id: u64,
+    status: &'static str,
+    generation: u64,
+    reloads: Reloads,
+    /// Quarantine detail (file + reason) so operators can see *why* a
+    /// document is missing from the serving set, not just that it is.
+    quarantined: Vec<Quarantined>,
+    serve: ServeCounters,
+    eval: EvalStats,
+    latency: Latency,
+    /// All replica arenas folded into one (`null` under `--no-cache`).
+    cache: Option<CacheStats>,
+    delta: Delta,
+    index: IndexStats,
+    shards: Vec<ShardStats>,
+}
+
+#[derive(Serialize)]
+struct Reloads {
+    ok: u64,
+    failed: u64,
+}
+
+#[derive(Serialize)]
+struct Quarantined {
+    file: String,
+    /// First line of the load error.
+    reason: String,
+}
+
+/// The admission-to-response latency histogram: sample count, total
+/// and max, plus its non-empty buckets.
+#[derive(Serialize)]
+struct Latency {
+    count: u64,
+    total_ns: u64,
+    max_ns: u64,
+    buckets: Vec<LatencyBucket>,
+}
+
+#[derive(Serialize)]
+struct LatencyBucket {
+    le_us: u64,
+    n: u64,
+}
+
+impl Latency {
+    fn of(h: &LatencyHistogram) -> Self {
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        Latency {
+            count: h.count(),
+            total_ns: ns(h.total()),
+            max_ns: ns(h.max()),
+            buckets: h
+                .nonzero_buckets()
+                .into_iter()
+                .map(|(le_us, n)| LatencyBucket { le_us, n })
+                .collect(),
         }
     }
-    match agg {
-        None => "null".to_string(),
-        Some(a) => a.to_json(),
+}
+
+/// Delta lineage: the serving manifest's parent chain (nearest ancestor
+/// first), how many documents it carries vs rewrote, and the lifetime
+/// cache carry-over counters.
+#[derive(Serialize)]
+struct Delta {
+    parent_chain: Vec<u64>,
+    chain_depth: usize,
+    docs_carried: u64,
+    docs_rewritten: u64,
+    carry_over: CarryOver,
+}
+
+/// Persistent-index observability: how many documents serve off `.xidx`
+/// segments, their total encoded bytes, and how many posting lists have
+/// been lazily materialized so far.
+#[derive(Serialize)]
+struct IndexStats {
+    segments: usize,
+    bytes: u64,
+    terms_loaded: u64,
+}
+
+/// A pick-distribution snapshot plus plan-cache accounting (`cached` =
+/// decisions served from the cache, `planned` = decisions computed
+/// fresh, `invalidations` = generation bumps that emptied the cache).
+#[derive(Default, Serialize)]
+struct PlanStats {
+    brute: u64,
+    naive: u64,
+    reduced: u64,
+    push_down: u64,
+    forced: u64,
+    replans: u64,
+    cached: u64,
+    planned: u64,
+    invalidations: u64,
+}
+
+impl PlanStats {
+    /// Count one replica's picks and plan-cache counters in.
+    fn add(&mut self, pk: PickSnapshot, (cached, planned, invalidations): (u64, u64, u64)) {
+        self.brute += pk.brute;
+        self.naive += pk.naive;
+        self.reduced += pk.reduced;
+        self.push_down += pk.push_down;
+        self.forced += pk.forced;
+        self.replans += pk.replans;
+        self.cached += cached;
+        self.planned += planned;
+        self.invalidations += invalidations;
     }
 }
 
-/// One `"plans"` object for `stats`: a pick-distribution snapshot plus
-/// plan-cache accounting (`cached` = decisions served from the cache,
-/// `planned` = decisions computed fresh, `invalidations` = generation
-/// bumps that emptied the cache). Same shape per replica and summed
-/// per shard (see the schema comment in `protocol.rs`).
-fn plans_json(pk: &PickSnapshot, cached: u64, planned: u64, invalidations: u64) -> String {
-    format!(
-        "{{\"brute\":{},\"naive\":{},\"reduced\":{},\"push_down\":{},\"forced\":{},\"replans\":{},\"cached\":{},\"planned\":{},\"invalidations\":{}}}",
-        pk.brute, pk.naive, pk.reduced, pk.push_down, pk.forced, pk.replans,
-        cached, planned, invalidations,
-    )
+/// One shard's fault-domain detail: pool state, lifetime counters,
+/// singleflight and planner accounting and the cache, each summed over
+/// the shard's replicas, then the per-replica breakdown.
+#[derive(Default, Serialize)]
+struct ShardStats {
+    shard: usize,
+    docs: usize,
+    workers: usize,
+    queued: usize,
+    in_flight: usize,
+    respawns: u64,
+    evaluations: u64,
+    flights: SingleflightStats,
+    plans: PlanStats,
+    cache: Option<CacheStats>,
+    replicas: Vec<ReplicaStats>,
+}
+
+/// One replica: its breaker state, latency EWMA and hedge counters,
+/// then the same pool/planner/cache fields as its shard, for its own
+/// arena alone.
+#[derive(Serialize)]
+struct ReplicaStats {
+    replica: usize,
+    state: &'static str,
+    ewma_us: u64,
+    hedges: u64,
+    wins: u64,
+    opens: u64,
+    workers: usize,
+    queued: usize,
+    in_flight: usize,
+    respawns: u64,
+    evaluations: u64,
+    flights: SingleflightStats,
+    plans: PlanStats,
+    cache: Option<CacheStats>,
+}
+
+/// Fold `part` into `agg`, which stays `None` until some arena reports.
+fn absorb_cache(agg: &mut Option<CacheStats>, part: &Option<CacheStats>) {
+    if let Some(p) = part {
+        agg.get_or_insert_with(CacheStats::default)
+            .absorb(p.clone());
+    }
+}
+
+fn shard_stats(i: usize, group: &ReplicaGroup, gen: &Generation) -> ShardStats {
+    let mut sh = ShardStats {
+        shard: i,
+        docs: gen.shard_docs.get(i).map_or(0, Vec::len),
+        ..Default::default()
+    };
+    for (j, rep) in group.replicas.iter().enumerate() {
+        let (workers, queued, in_flight) = {
+            let g = rep.inner.lock().unwrap();
+            (g.workers_alive, g.queue.len(), g.in_flight)
+        };
+        let (pk, pc) = (rep.picks.snapshot(), rep.plans.counters());
+        let mut plans = PlanStats::default();
+        plans.add(pk, pc);
+        sh.plans.add(pk, pc);
+        let r = ReplicaStats {
+            replica: j,
+            state: rep.breaker.state().name(),
+            ewma_us: rep.ewma_us.load(Ordering::Relaxed),
+            hedges: rep.hedges.load(Ordering::Relaxed),
+            wins: rep.hedge_wins.load(Ordering::Relaxed),
+            opens: rep.breaker.opens(),
+            workers,
+            queued,
+            in_flight,
+            respawns: rep.respawns.load(Ordering::SeqCst),
+            evaluations: rep.evaluations.load(Ordering::SeqCst),
+            flights: rep.flights.stats(),
+            plans,
+            cache: rep.cache.as_ref().map(|c| c.stats()),
+        };
+        sh.workers += r.workers;
+        sh.queued += r.queued;
+        sh.in_flight += r.in_flight;
+        sh.respawns += r.respawns;
+        sh.evaluations += r.evaluations;
+        sh.flights.led += r.flights.led;
+        sh.flights.coalesced += r.flights.coalesced;
+        sh.flights.aborted += r.flights.aborted;
+        absorb_cache(&mut sh.cache, &r.cache);
+        sh.replicas.push(r);
+    }
+    sh
 }
 
 fn stats_line(s: &Shared, id: u64) -> String {
     let gen = s.snapshot();
-    // Quarantine detail (file + reason) so operators can see *why* a
-    // document is missing from the serving set, not just that it is.
-    let quarantined: Vec<String> = gen
-        .quarantined
-        .iter()
-        .map(|(file, reason)| {
-            format!(
-                "{{\"file\":{},\"reason\":{}}}",
-                serde_json::to_string(file).expect("name serializes"),
-                serde_json::to_string(reason.lines().next().unwrap_or(""))
-                    .expect("reason serializes"),
-            )
-        })
-        .collect();
-    let quarantined = format!("[{}]", quarantined.join(","));
     let st = s.stats.lock().unwrap();
-    // `"cache":null` under `--no-cache`, the aggregate tier/shard
-    // counter object otherwise (see `cache_json`).
-    let cache = cache_json(s);
-    // Delta lineage: the serving manifest's parent chain (nearest
-    // ancestor first), how many documents it carries vs rewrote, and
-    // the lifetime cache carry-over counters.
-    let chain = gen
-        .parent_chain
-        .iter()
-        .map(|g| g.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let delta = format!(
-        "{{\"parent_chain\":[{}],\"chain_depth\":{},\"docs_carried\":{},\"docs_rewritten\":{},\"carry_over\":{{\"kept\":{},\"rekeyed\":{},\"evicted\":{}}}}}",
-        chain,
-        gen.parent_chain.len(),
-        gen.docs_carried,
-        gen.docs_rewritten,
-        s.carry_kept.load(Ordering::SeqCst),
-        s.carry_rekeyed.load(Ordering::SeqCst),
-        s.carry_evicted.load(Ordering::SeqCst),
-    );
-    // Persistent-index observability: how many documents serve off
-    // `.xidx` segments, their total encoded bytes, and how many posting
-    // lists have been lazily materialized so far.
-    let index = format!(
-        "{{\"segments\":{},\"bytes\":{},\"terms_loaded\":{}}}",
-        gen.coll.segment_count(),
-        gen.coll.index_bytes(),
-        gen.coll.index_terms_loaded(),
-    );
-    // Per-shard fault-domain detail, in shard order (see the schema
-    // comment in `protocol.rs`): pool state, respawn and evaluation
-    // lifetime counters, and singleflight accounting, summed across the
-    // shard's replicas, plus a per-replica breakdown carrying each
-    // replica's breaker state, latency EWMA, hedge counters, and its
-    // own cache arena.
-    let shards: Vec<String> = s
+    let shards: Vec<ShardStats> = s
         .groups
         .iter()
         .enumerate()
-        .map(|(i, group)| {
-            let (mut workers, mut queued, mut in_flight) = (0usize, 0usize, 0usize);
-            let (mut respawns, mut evaluations) = (0u64, 0u64);
-            let (mut led, mut coalesced, mut aborted) = (0u64, 0u64, 0u64);
-            let mut picks_sum = PickSnapshot::default();
-            let (mut plans_cached, mut plans_planned, mut plans_inv) = (0u64, 0u64, 0u64);
-            let mut replicas: Vec<String> = Vec::with_capacity(group.replicas.len());
-            for (j, rep) in group.replicas.iter().enumerate() {
-                let (w, q, f) = {
-                    let g = rep.inner.lock().unwrap();
-                    (g.workers_alive, g.queue.len(), g.in_flight)
-                };
-                workers += w;
-                queued += q;
-                in_flight += f;
-                let rsp = rep.respawns.load(Ordering::SeqCst);
-                let evl = rep.evaluations.load(Ordering::SeqCst);
-                respawns += rsp;
-                evaluations += evl;
-                let fl = rep.flights.stats();
-                led += fl.led;
-                coalesced += fl.coalesced;
-                aborted += fl.aborted;
-                let pk = rep.picks.snapshot();
-                let (pc_hits, pc_misses, pc_inv) = rep.plans.counters();
-                picks_sum = PickCounters::merge(picks_sum, pk);
-                plans_cached += pc_hits;
-                plans_planned += pc_misses;
-                plans_inv += pc_inv;
-                let rep_cache = match &rep.cache {
-                    None => "null".to_string(),
-                    Some(c) => c.stats().to_json(),
-                };
-                replicas.push(format!(
-                    "{{\"replica\":{},\"state\":\"{}\",\"ewma_us\":{},\"hedges\":{},\"wins\":{},\"opens\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"plans\":{},\"cache\":{}}}",
-                    j,
-                    rep.breaker.state().name(),
-                    rep.ewma_us.load(Ordering::Relaxed),
-                    rep.hedges.load(Ordering::Relaxed),
-                    rep.hedge_wins.load(Ordering::Relaxed),
-                    rep.breaker.opens(),
-                    w,
-                    q,
-                    f,
-                    rsp,
-                    evl,
-                    fl.led,
-                    fl.coalesced,
-                    fl.aborted,
-                    plans_json(&pk, pc_hits, pc_misses, pc_inv),
-                    rep_cache,
-                ));
-            }
-            let sh_cache = {
-                let mut agg: Option<CacheStats> = None;
-                for rep in &group.replicas {
-                    let Some(c) = &rep.cache else { continue };
-                    let st = c.stats();
-                    match &mut agg {
-                        None => agg = Some(st),
-                        Some(a) => {
-                            a.postings.hits += st.postings.hits;
-                            a.postings.misses += st.postings.misses;
-                            a.fixpoint.hits += st.fixpoint.hits;
-                            a.fixpoint.misses += st.fixpoint.misses;
-                            a.result.hits += st.result.hits;
-                            a.result.misses += st.result.misses;
-                            a.evictions += st.evictions;
-                            a.insertions += st.insertions;
-                            a.bytes += st.bytes;
-                            a.entries += st.entries;
-                            a.shards.extend(st.shards);
-                        }
-                    }
-                }
-                agg.map_or("null".to_string(), |a| a.to_json())
-            };
-            format!(
-                "{{\"shard\":{},\"docs\":{},\"workers\":{},\"queued\":{},\"in_flight\":{},\"respawns\":{},\"evaluations\":{},\"flights\":{{\"led\":{},\"coalesced\":{},\"aborted\":{}}},\"plans\":{},\"cache\":{},\"replicas\":[{}]}}",
-                i,
-                gen.shard_docs.get(i).map_or(0, Vec::len),
-                workers,
-                queued,
-                in_flight,
-                respawns,
-                evaluations,
-                led,
-                coalesced,
-                aborted,
-                plans_json(&picks_sum, plans_cached, plans_planned, plans_inv),
-                sh_cache,
-                replicas.join(","),
-            )
-        })
+        .map(|(i, group)| shard_stats(i, group, &gen))
         .collect();
-    let shards = format!("[{}]", shards.join(","));
-    format!(
-        "{{\"id\":{},\"status\":\"ok\",\"generation\":{},\"reloads\":{{\"ok\":{},\"failed\":{}}},\"quarantined\":{},\"serve\":{{\"total\":{},\"ok\":{},\"degraded\":{},\"shed\":{},\"timeout\":{},\"error\":{},\"shutting_down\":{},\"invalid\":{},\"worker_panics\":{},\"accept_errors\":{}}},\"eval\":{},\"latency\":{},\"cache\":{},\"delta\":{},\"index\":{},\"shards\":{}}}",
+    // Shard aggregates fold in shard order, so the per-lock-shard lists
+    // concatenate in (group, replica) order.
+    let mut cache = None;
+    for sh in &shards {
+        absorb_cache(&mut cache, &sh.cache);
+    }
+    let reply = StatsReply {
         id,
-        gen.number,
-        s.reloads_ok.load(Ordering::SeqCst),
-        s.reloads_failed.load(Ordering::SeqCst),
-        quarantined,
-        st.total,
-        st.ok,
-        st.degraded,
-        st.shed,
-        st.timeout,
-        st.error,
-        st.shutting_down,
-        st.invalid,
-        st.worker_panics,
-        st.accept_errors,
-        serde_json::to_string(&st.eval).expect("stats serialize"),
-        st.latency.to_json(),
+        status: status::OK,
+        generation: gen.number,
+        reloads: Reloads {
+            ok: s.reloads_ok.load(Ordering::SeqCst),
+            failed: s.reloads_failed.load(Ordering::SeqCst),
+        },
+        quarantined: gen
+            .quarantined
+            .iter()
+            .map(|(file, reason)| Quarantined {
+                file: file.clone(),
+                reason: reason.lines().next().unwrap_or("").to_string(),
+            })
+            .collect(),
+        serve: st.counters,
+        eval: st.eval,
+        latency: Latency::of(&st.latency),
         cache,
-        delta,
-        index,
+        delta: Delta {
+            parent_chain: gen.parent_chain.clone(),
+            chain_depth: gen.parent_chain.len(),
+            docs_carried: gen.docs_carried,
+            docs_rewritten: gen.docs_rewritten,
+            carry_over: *s.carry.lock().unwrap(),
+        },
+        index: IndexStats {
+            segments: gen.coll.segment_count(),
+            bytes: gen.coll.index_bytes(),
+            terms_loaded: gen.coll.index_terms_loaded(),
+        },
         shards,
-    )
+    };
+    serde_json::to_string(&reply).expect("stats reply serializes")
 }
 
 /// Worker thread body for one replica: pop jobs until the replica's
@@ -1962,10 +1989,7 @@ fn worker_loop(s: Arc<Shared>, group_idx: usize, replica_idx: usize) {
         match catch_unwind(AssertUnwindSafe(|| handle_replica_query(&s, &job))) {
             Ok(reply) => finish_replica(&s, &job, reply),
             Err(payload) => {
-                {
-                    let mut st = s.stats.lock().unwrap();
-                    st.worker_panics += 1;
-                }
+                s.stats.lock().unwrap().counters.worker_panics += 1;
                 let msg = panic_message(payload.as_ref());
                 let reply = ShardReply::Panicked(format!(
                     "worker panicked (isolated): {}",
@@ -1974,20 +1998,11 @@ fn worker_loop(s: Arc<Shared>, group_idx: usize, replica_idx: usize) {
                 let rep = &s.groups[group_idx].replicas[replica_idx];
                 rep.respawns.fetch_add(1, Ordering::SeqCst);
                 // Respawn first so the replica's pool never shrinks.
-                {
-                    let mut g = rep.inner.lock().unwrap();
-                    g.workers_alive += 1;
-                }
+                rep.inner.lock().unwrap().workers_alive += 1;
                 let replacement = Arc::clone(&s);
                 std::thread::spawn(move || worker_loop(replacement, group_idx, replica_idx));
                 finish_replica(&s, &job, reply);
-                {
-                    let mut g = s.groups[group_idx].replicas[replica_idx]
-                        .inner
-                        .lock()
-                        .unwrap();
-                    g.workers_alive -= 1;
-                }
+                rep.inner.lock().unwrap().workers_alive -= 1;
                 poke_drain(&s);
                 return;
             }
@@ -2001,7 +2016,7 @@ fn worker_loop(s: Arc<Shared>, group_idx: usize, replica_idx: usize) {
 fn finish_replica(s: &Shared, job: &ShardJob, reply: ShardReply) {
     // A gather that already gave up on this group (or a client that
     // hung up) just discards the reply; not an error.
-    let _ = job.reply.send(GroupReply {
+    let _ = job.scatter.reply.send(GroupReply {
         group: job.group,
         attempt: job.attempt,
         reply,
@@ -2025,20 +2040,13 @@ const FOLLOWER_WAIT_CAP: Duration = Duration::from_secs(60);
 /// worker's `catch_unwind`, so a panic anywhere below is isolated per
 /// sub-job (and per replica).
 fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
-    let req = &*job.req;
+    let req = &*job.scatter.req;
     // The corpus snapshot was pinned at admission (not here): every
     // group of one request answers from the same generation even if a
     // reload swapped the shared pointer mid-scatter.
-    let gen = &job.gen;
+    let gen = &job.scatter.gen;
     let coll = &gen.coll;
     let shard = &s.groups[job.group].replicas[job.replica];
-    // A losing hedge sibling may have been cancelled while this job
-    // sat queued; don't burn a worker evaluating a dead sub-job. The
-    // gather has already resolved this attempt, so the reply shape is
-    // immaterial — Timeout matches what evaluation would return.
-    if job.cancel.is_cancelled() {
-        return ShardReply::Timeout("cancelled before evaluation started".into());
-    }
     // Fault-injection point for the worker itself: `panic` unwinds into
     // the worker's catch_unwind, `delay:<ms>` stalls, `cancel`
     // short-circuits here. Fired before the deadline is measured so an
@@ -2049,15 +2057,8 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
             return ShardReply::Error("cancelled by injected fault at serve:worker".into());
         }
     }
-    // Effective deadline: the tighter of the request's and the server's,
-    // measured from admission (queue time counts against the request).
-    let deadline = match (s.timeout_ms, req.timeout_ms) {
-        (None, None) => None,
-        (a, b) => Some(Duration::from_millis(
-            a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX)),
-        )),
-    };
-    let waited = job.enqueued.elapsed();
+    let deadline = effective_deadline(s, req);
+    let waited = job.scatter.enqueued.elapsed();
     let remaining = match deadline {
         Some(d) if waited >= d => {
             return ShardReply::Timeout(format!(
@@ -2068,6 +2069,15 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
         Some(d) => Some(d - waited),
         None => None,
     };
+    // Checked after the deadline so a job the gather cancelled *at* its
+    // deadline keeps the message above. Otherwise a hedge sibling won
+    // while this job sat queued: don't burn a worker evaluating a dead
+    // sub-job. The gather has already resolved this attempt, so the
+    // reply shape is immaterial — Timeout matches what evaluation would
+    // return.
+    if job.cancel.is_cancelled() {
+        return ShardReply::Timeout("cancelled before evaluation started".into());
+    }
     if req.keywords.is_empty() {
         return ShardReply::Error("query needs keywords".into());
     }
@@ -2082,32 +2092,15 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
     let q = Query::new(req.keywords.iter(), req.filter());
     let mut budget: Budget = req.budget();
     budget.wall_clock = remaining;
-    // The job's own token, not a fresh one: the gather cancels it when
-    // a hedge sibling's reply already won this group, and the watchdog
-    // below cancels it at the deadline.
-    let token = job.cancel.clone();
+    // The job's own token, not a fresh one: the gather cancels it at
+    // the deadline and when a hedge sibling's reply already won this
+    // group.
     let mut policy = ExecPolicy::with_budget(budget)
         .with_degrade(degrade)
-        .with_cancel(token.clone());
+        .with_cancel(job.cancel.clone());
     if let Some(f) = &s.fault {
         policy = policy.with_fault(Arc::clone(f));
     }
-    // Watchdog: cancels the token when the deadline passes, covering
-    // stretches where the governor's own wall-clock checks are sparse.
-    let done = Arc::new(AtomicBool::new(false));
-    let watchdog = remaining.map(|rem| {
-        let t = token.clone();
-        let d = Arc::clone(&done);
-        std::thread::spawn(move || {
-            let start = Instant::now();
-            while start.elapsed() < rem && !d.load(Ordering::SeqCst) {
-                std::thread::park_timeout(rem.saturating_sub(start.elapsed()));
-            }
-            if !d.load(Ordering::SeqCst) {
-                t.cancel();
-            }
-        })
-    });
     let docs = &gen.shard_docs[job.group];
     let cache_ref = shard.cache.as_deref().map(|c| (c, gen.tag));
     // Serve requests always carry a limited budget (deadline or caps),
@@ -2178,10 +2171,6 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
             }
         }
     };
-    done.store(true, Ordering::SeqCst);
-    if let Some(w) = &watchdog {
-        w.thread().unpark(); // let it exit promptly; no need to join
-    }
     match result {
         Ok(r) => {
             // A pure cache replay has `cache_misses == 0` (stored
@@ -2192,7 +2181,7 @@ fn handle_replica_query(s: &Shared, job: &ShardJob) -> ShardReply {
             }
             ShardReply::Eval(Box::new(r))
         }
-        Err(QueryError::Cancelled) if token.is_cancelled() => {
+        Err(QueryError::Cancelled) if job.cancel.is_cancelled() => {
             ShardReply::Timeout("deadline exceeded during evaluation".into())
         }
         Err(QueryError::BudgetExceeded(Breach::Deadline)) => {
@@ -2404,5 +2393,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// These placements must never move: a moved document changes
+    /// shards across a restart, and its cache arena with it.
+    #[test]
+    fn route_placements_are_stable() {
+        let widths = [1, 2, 3, 8];
+        for (name, want) in [
+            ("a.xml", [0, 1, 0, 3]),
+            ("b.xml", [0, 0, 1, 2]),
+            ("c.xml", [0, 1, 0, 5]),
+            ("doc0007.xfrg", [0, 1, 1, 3]),
+            ("", [0, 1, 2, 5]),
+            ("ΟΔΟΣ.xml", [0, 1, 2, 7]),
+        ] {
+            assert_eq!(widths.map(|w| route(name, w)), want, "{name:?}");
+        }
+        assert_eq!(route("a.xml", 0), 0, "width 0 routes like width 1");
     }
 }

@@ -1270,3 +1270,178 @@ fn reload_verifies_the_files_of_shared_documents() {
     let (st, _) = srv.shutdown_and_wait();
     assert!(st.success());
 }
+
+/// A deadline that expires mid-evaluation ends the request as `timeout`
+/// (the sub-job is cancelled at the deadline, and cancellation beats
+/// the governor's own deadline breach), never as a `degraded` answer
+/// with the remaining documents skipped; a job whose deadline passed
+/// before it started keeps its own message.
+#[test]
+fn deadline_mid_evaluation_times_out_rather_than_degrading() {
+    let dir = std::env::temp_dir().join(format!("xfrag-serve-deadline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in ["a", "b", "c"] {
+        std::fs::write(
+            dir.join(format!("{name}.xml")),
+            format!("<doc><title>xml query {name}</title><p>an xml query over fragments</p></doc>"),
+        )
+        .unwrap();
+    }
+    // The first document's evaluation stalls past the 200 ms deadline.
+    let srv = Server::start(&dir, &["--inject", "query:eval@0=delay:300"]);
+    let mut conn = srv.connect();
+
+    let mid = conn.rpc(r#"{"kind":"query","id":1,"keywords":["xml","query"],"timeout_ms":200}"#);
+    assert_eq!(field_str(&mid, "status"), "timeout", "{mid}");
+    assert_eq!(
+        field_str(&mid, "error"),
+        "deadline exceeded during evaluation",
+        "{mid}"
+    );
+
+    let expired = conn.rpc(r#"{"kind":"query","id":2,"keywords":["xml"],"timeout_ms":0}"#);
+    assert_eq!(field_str(&expired, "status"), "timeout", "{expired}");
+    assert_eq!(
+        field_str(&expired, "error"),
+        "deadline of 0 ms passed before evaluation started",
+        "{expired}"
+    );
+    drop(conn);
+    let (st, _) = srv.shutdown_and_wait();
+    assert!(st.success());
+}
+
+/// The keys of every object in `json`, grouped by the object's path
+/// from the root (array elements as `[]`), containers and keys both in
+/// first-seen order: one `path: key key …` line per container.
+fn key_paths(json: &str) -> String {
+    // One frame per open container: its path, whether it is an object,
+    // and the last key read in it.
+    let mut frames: Vec<(String, bool, String)> = Vec::new();
+    let mut objects: Vec<(String, Vec<String>)> = Vec::new();
+    let mut expect_key = false;
+    let mut chars = json.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '{' | '[' => {
+                let path = match frames.last() {
+                    None => String::new(),
+                    Some((p, true, key)) if p.is_empty() => key.clone(),
+                    Some((p, true, key)) => format!("{p}.{key}"),
+                    Some((p, false, _)) => format!("{p}[]"),
+                };
+                frames.push((path, c == '{', String::new()));
+                expect_key = c == '{';
+            }
+            '}' | ']' => {
+                frames.pop();
+                expect_key = false;
+            }
+            ',' => expect_key = frames.last().is_some_and(|f| f.1),
+            ':' => expect_key = false,
+            '"' => {
+                let mut s = String::new();
+                while let Some(c) = chars.next() {
+                    match c {
+                        '\\' => {
+                            chars.next();
+                        }
+                        '"' => break,
+                        c => s.push(c),
+                    }
+                }
+                if expect_key {
+                    let frame = frames.last_mut().unwrap();
+                    let at = match objects.iter().position(|(p, _)| *p == frame.0) {
+                        Some(at) => at,
+                        None => {
+                            objects.push((frame.0.clone(), Vec::new()));
+                            objects.len() - 1
+                        }
+                    };
+                    if !objects[at].1.contains(&s) {
+                        objects[at].1.push(s.clone());
+                    }
+                    frame.2 = s;
+                    expect_key = false;
+                }
+            }
+            _ => {}
+        }
+    }
+    objects
+        .iter()
+        .map(|(p, keys)| format!("{p}: {}\n", keys.join(" ")))
+        .collect()
+}
+
+/// The pinned `stats` and `health` schemas: after a fixed request
+/// script on a 2-shard × 2-replica server, both replies carry exactly
+/// these objects and keys, in this order.
+#[test]
+fn stats_and_health_schemas_are_pinned() {
+    let dir = corpus("schema");
+    std::fs::write(dir.join("zz_broken.xml"), "<doc><unclosed>").unwrap();
+    let srv = Server::start(&dir, &["--shards", "2", "--replicas", "2"]);
+    let mut conn = srv.connect();
+    for q in QUERIES {
+        assert!(conn.rpc(q).contains(r#""status":"ok""#));
+    }
+    assert!(conn.rpc("not json").contains(r#""status":"error""#));
+    let health = conn.rpc(r#"{"kind":"health","id":5}"#);
+    let stats = conn.rpc(r#"{"kind":"stats","id":6}"#);
+
+    assert_eq!(
+        key_paths(&health),
+        ": id status workers queued in_flight docs generation quarantined\n"
+    );
+    let cache_at = |c: &str| {
+        format!(
+            "{c}: postings fixpoint result evictions insertions bytes entries shards\n\
+             {c}.postings: hits misses\n\
+             {c}.fixpoint: hits misses\n\
+             {c}.result: hits misses\n\
+             {c}.shards[]: hits misses evictions bytes entries\n"
+        )
+    };
+    let plans = "brute naive reduced push_down forced replans cached planned invalidations";
+    let expected = [
+        ": id status generation reloads quarantined serve eval latency cache delta index \
+         shards\n"
+            .to_string(),
+        "reloads: ok failed\n".into(),
+        "quarantined[]: file reason\n".into(),
+        "serve: total ok degraded shed timeout error shutting_down invalid worker_panics \
+         accept_errors\n"
+            .into(),
+        "eval: joins nodes_merged fragments_emitted duplicates_collapsed filter_evals \
+         filter_pruned fixpoint_iterations fixpoint_checks reduce_checks budget_checkpoints \
+         label_ops tree_ops cache_hits cache_misses\n"
+            .into(),
+        "latency: count total_ns max_ns buckets\n".into(),
+        "latency.buckets[]: le_us n\n".into(),
+        cache_at("cache"),
+        "delta: parent_chain chain_depth docs_carried docs_rewritten carry_over\n".into(),
+        "delta.carry_over: kept rekeyed evicted\n".into(),
+        "index: segments bytes terms_loaded\n".into(),
+        "shards[]: shard docs workers queued in_flight respawns evaluations flights plans \
+         cache replicas\n"
+            .into(),
+        "shards[].flights: led coalesced aborted\n".into(),
+        format!("shards[].plans: {plans}\n"),
+        cache_at("shards[].cache"),
+        "shards[].replicas[]: replica state ewma_us hedges wins opens workers queued \
+         in_flight respawns evaluations flights plans cache\n"
+            .into(),
+        "shards[].replicas[].flights: led coalesced aborted\n".into(),
+        format!("shards[].replicas[].plans: {plans}\n"),
+        cache_at("shards[].replicas[].cache"),
+    ]
+    .concat();
+    assert_eq!(key_paths(&stats), expected, "{stats}");
+
+    drop(conn);
+    let (st, _) = srv.shutdown_and_wait();
+    assert!(st.success());
+}

@@ -67,9 +67,9 @@ use crate::fixpoint::FixpointMode;
 use crate::query::{Query, QueryResult, Strategy};
 use crate::set::FragmentSet;
 use crate::stats::EvalStats;
+use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -679,7 +679,7 @@ impl QueryCache {
 }
 
 /// Counters from one [`QueryCache::carry_over`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CarryOver {
     /// Entries migrated to the new snapshot under an unchanged
     /// document id.
@@ -702,7 +702,7 @@ impl CarryOver {
 }
 
 /// Logical hit/miss counters for one tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TierCounters {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -713,7 +713,7 @@ pub struct TierCounters {
 /// Raw probe/occupancy counters for one lock shard. Shard hit/miss
 /// counters count *probes* (a single logical result lookup may probe up
 /// to five rung slots), so they need not sum to the tier counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardCounters {
     /// Probes that found a live entry.
     pub hits: u64,
@@ -727,8 +727,9 @@ pub struct ShardCounters {
     pub entries: u64,
 }
 
-/// Point-in-time snapshot of every cache counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Point-in-time snapshot of every cache counter. Serializes (field
+/// order is key order) to the `cache` objects of serve's `stats` reply.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Tier (a) — term postings.
     pub postings: TierCounters,
@@ -769,34 +770,21 @@ impl CacheStats {
         }
     }
 
-    /// Compact single-object JSON, in the serve `stats` verb's
-    /// hand-assembled style.
-    pub fn to_json(&self) -> String {
-        let tier = |t: &TierCounters| format!("{{\"hits\":{},\"misses\":{}}}", t.hits, t.misses);
-        let mut out = format!(
-            "{{\"postings\":{},\"fixpoint\":{},\"result\":{},\"evictions\":{},\"insertions\":{},\"bytes\":{},\"entries\":{},\"shards\":[",
-            tier(&self.postings),
-            tier(&self.fixpoint),
-            tier(&self.result),
-            self.evictions,
-            self.insertions,
-            self.bytes,
-            self.entries,
-        );
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // invariant: fmt::Write for String never fails.
-            write!(
-                out,
-                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{}}}",
-                s.hits, s.misses, s.evictions, s.bytes, s.entries
-            )
-            .unwrap();
-        }
-        out.push_str("]}");
-        out
+    /// Fold another arena's counters into this one: tier and total
+    /// counters add, per-shard counter lists concatenate (serve
+    /// aggregates replica arenas this way).
+    pub fn absorb(&mut self, other: CacheStats) {
+        self.postings.hits += other.postings.hits;
+        self.postings.misses += other.postings.misses;
+        self.fixpoint.hits += other.fixpoint.hits;
+        self.fixpoint.misses += other.fixpoint.misses;
+        self.result.hits += other.result.hits;
+        self.result.misses += other.result.misses;
+        self.evictions += other.evictions;
+        self.insertions += other.insertions;
+        self.bytes += other.bytes;
+        self.entries += other.entries;
+        self.shards.extend(other.shards);
     }
 }
 
@@ -919,7 +907,7 @@ pub enum Flight<'a> {
 }
 
 /// Counters from one [`Singleflight`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SingleflightStats {
     /// Flights led (cold evaluations that took the key).
     pub led: u64,
@@ -1193,7 +1181,7 @@ mod tests {
         cache.put_postings(g, 0, "xml", &nodes([1]));
         cache.get_postings(g, 0, "xml");
         cache.get_postings(g, 0, "nope");
-        let json = cache.stats().to_json();
+        let json = serde_json::to_string(&cache.stats()).unwrap();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(
             json.contains("\"postings\":{\"hits\":1,\"misses\":1}"),
@@ -1204,6 +1192,61 @@ mod tests {
             json.matches("\"evictions\"").count(),
             1 + SHARDS,
             "one global plus one per shard"
+        );
+    }
+
+    /// The exact bytes of a fixed fill: serve's `stats` reply embeds
+    /// this object, and clients parse its field names and order.
+    #[test]
+    fn stats_serialize_to_the_pinned_bytes() {
+        let cache = QueryCache::with_capacity_mb(1);
+        // A fixed tag, so the lock-shard placement is reproducible.
+        let g = GenerationTag(7);
+        let mode = FixpointMode::Reduced;
+        cache.put_postings(g, 0, "xml", &nodes([1, 2]));
+        cache.put_postings(g, 1, "search", &nodes([3]));
+        cache.put_fixpoint(g, 0, "xml", mode, &nodes([1, 2, 4]), EvalStats::default());
+        assert!(cache.get_postings(g, 0, "xml").is_some());
+        assert!(cache.get_postings(g, 1, "search").is_some());
+        assert!(cache.get_postings(g, 0, "nope").is_none());
+        assert!(cache.get_fixpoint(g, 0, "xml", mode).is_some());
+        assert!(cache
+            .get_fixpoint(g, 1, "xml", FixpointMode::Naive)
+            .is_none());
+        let pinned = concat!(
+            r#"{"postings":{"hits":2,"misses":1},"fixpoint":{"hits":1,"misses":1},"#,
+            r#""result":{"hits":0,"misses":0},"#,
+            r#""evictions":0,"insertions":3,"bytes":572,"entries":3,"shards":["#,
+            r#"{"hits":1,"misses":1,"evictions":0,"bytes":122,"entries":1},"#,
+            r#"{"hits":0,"misses":0,"evictions":0,"bytes":0,"entries":0},"#,
+            r#"{"hits":0,"misses":1,"evictions":0,"bytes":0,"entries":0},"#,
+            r#"{"hits":0,"misses":0,"evictions":0,"bytes":0,"entries":0},"#,
+            r#"{"hits":2,"misses":0,"evictions":0,"bytes":450,"entries":2},"#,
+            r#"{"hits":0,"misses":0,"evictions":0,"bytes":0,"entries":0},"#,
+            r#"{"hits":0,"misses":0,"evictions":0,"bytes":0,"entries":0},"#,
+            r#"{"hits":0,"misses":0,"evictions":0,"bytes":0,"entries":0}]}"#,
+        );
+        assert_eq!(serde_json::to_string(&cache.stats()).unwrap(), pinned);
+    }
+
+    #[test]
+    fn absorb_sums_tiers_and_concatenates_shards() {
+        let one = |hits| CacheStats {
+            result: TierCounters { hits, misses: 1 },
+            bytes: 10,
+            shards: vec![ShardCounters {
+                hits,
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        let mut agg = one(2);
+        agg.absorb(one(3));
+        assert_eq!(agg.result, TierCounters { hits: 5, misses: 2 });
+        assert_eq!(agg.bytes, 20);
+        assert_eq!(
+            agg.shards.iter().map(|s| s.hits).collect::<Vec<_>>(),
+            [2, 3]
         );
     }
 
